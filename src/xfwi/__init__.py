@@ -12,7 +12,6 @@ from .errors import (
     DegenerateWeightsError,
     DimensionMismatchError,
     IllConditionedError,
-    InvalidKernelError,
     NotPositiveDefiniteError,
     RejectedInputError,
     SingularGeometryError,
@@ -50,7 +49,7 @@ from .linops import (
     dot_test,
     weighted_norm_sq,
 )
-from .solvers import SolveReport, cg, dense_spd_solve, lsqr, mdd_solve
+from .solvers import SolveReport, cg, dense_spd_solve, lsqr
 from .toy import (
     ExtendedSourceResult,
     ScanResult,

@@ -389,7 +389,6 @@ def cmd_scan(args):
             ext.phi_norm[k],
             conv.phi_raw[k],
             ext.phi_raw[k],
-            ext.iterations[k],
             status[k],
         )
         for k in range(len(conv.c_values))
@@ -402,7 +401,6 @@ def cmd_scan(args):
             "phi_extended_norm",
             "phi_conventional_raw",
             "phi_extended_raw",
-            "iters_ext",
             "status",
         ],
         rows,
@@ -414,8 +412,8 @@ def cmd_scan(args):
             "extended": half_max_basin_width(ext.c_values, ext.phi_norm),
         },
         "phi_min_raw": {
-            "conventional": float(np.nanmin(conv.phi_raw)),
-            "extended": float(np.nanmin(ext.phi_raw)),
+            "conventional": float(np.fmin.reduce(conv.phi_raw)),
+            "extended": float(np.fmin.reduce(ext.phi_raw)),
         },
         "points_ok": sum(1 for s in status if s == "ok"),
         "points_total": len(status),

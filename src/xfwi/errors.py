@@ -29,10 +29,6 @@ class NotPositiveDefiniteError(XfwiError, ValueError):
     """A matrix required to be (semi)definite is not, beyond tolerance."""
 
 
-class InvalidKernelError(NotPositiveDefiniteError):
-    """A correlation kernel is not Hermitian positive semidefinite."""
-
-
 class IllConditionedError(XfwiError, RuntimeError):
     """A linear system is singular to working precision.
 

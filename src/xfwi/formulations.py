@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedGeometryError,
 )
 from .linops import CovarianceSpec, SamplingOperator, weighted_norm_sq
-from .solvers import cg, dense_spd_solve, lsqr
+from .solvers import cg, dense_spd_solve
 from .wavemodel import medium_values
 
 _DENSE_STATE_LIMIT = 2000
@@ -83,7 +83,7 @@ class Problem:
 
 @dataclass
 class ObjectiveReport:
-    """Objective value with the residual pair and solver diagnostics.
+    """Objective value with the residual pair.
 
     For the reduced objective, ``value = Re <residual, weighted_residual>``
     with ``residual = P A^{-1} q - d`` and ``weighted_residual`` the solve
@@ -94,8 +94,6 @@ class ObjectiveReport:
     residual: np.ndarray
     weighted_residual: np.ndarray
     gradient: np.ndarray | None = None
-    solver_iterations: int = 0
-    solver_relres: float = 0.0
 
 
 @dataclass
@@ -239,34 +237,24 @@ def sigma_of_m(prob, m):
     return _sigma_of_m_from_factor(prob, B_factor)
 
 
-def phi_reduced(prob, m, method="cholesky"):
+def phi_reduced(prob, m):
     """Reduced objective ``r^H (K + sigma_m)^{-1} r``.
 
     Evaluates the residual ``r = P A^{-1} q - d``, solves
-    ``(K + sigma_m) r_tilde = r`` (dense Cholesky by default; ``"lsqr"`` or
-    ``"cg"`` optional), and returns ``Re <r, r_tilde>`` with both residual
-    vectors in the report.
+    ``(K + sigma_m) r_tilde = r`` by dense Cholesky, and returns
+    ``Re <r, r_tilde>`` with both residual vectors in the report.
     """
     A = _dense_A(prob, m)
     u0 = np.linalg.solve(A, prob.q)
     r = prob.P.matvec(u0) - prob.d
     _, B_factor = _gram_factor(prob, A)
     K = _sigma_of_m_from_factor(prob, B_factor)
-    S = K + prob.sigma_m.to_dense()
-    iterations = 0
-    relres = 0.0
-    if method == "cholesky":
-        try:
-            r_tilde = dense_spd_solve(S, r)
-        except NotPositiveDefiniteError as exc:
-            raise IllConditionedError(
-                f"weight matrix K + sigma_m is singular to tolerance: {exc}"
-            ) from exc
-    elif method in ("lsqr", "cg"):
-        rep = lsqr(S, r) if method == "lsqr" else cg(S, r)
-        r_tilde, iterations, relres = rep.solution, rep.iterations, rep.relative_residual
-    else:
-        raise RejectedInputError(f"unknown method {method!r}")
+    try:
+        r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
+    except NotPositiveDefiniteError as exc:
+        raise IllConditionedError(
+            f"weight matrix K + sigma_m is singular to tolerance: {exc}"
+        ) from exc
     z = np.vdot(r, r_tilde)
     if abs(z.imag) > 1e-10 * abs(z.real) + 1e-300:
         raise IllConditionedError(
@@ -276,8 +264,6 @@ def phi_reduced(prob, m, method="cholesky"):
         value=max(float(z.real), 0.0),
         residual=r,
         weighted_residual=r_tilde,
-        solver_iterations=iterations,
-        solver_relres=relres,
     )
 
 

@@ -1,4 +1,4 @@
-"""Direct and iterative linear solvers used by the formulations.
+"""Direct and iterative linear solvers used by the formulations and the toy.
 
 All solvers are deterministic (zero starting vectors, no randomization) so
 experiment outputs reproduce bit-identically.
@@ -11,27 +11,20 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
-    DegenerateWeightsError,
     DimensionMismatchError,
-    InvalidKernelError,
     NotPositiveDefiniteError,
     RejectedInputError,
 )
 from .linops import DenseOperator, LinearOperator
 
-_EPS = np.finfo(float).eps
 _HERMITIAN_RTOL = 1e-12
-_DENSE_LIMIT = 3000
 
 
 @dataclass
 class SolveReport:
-    """Outcome of a linear solve.
+    """Outcome of an iterative solve.
 
-    ``converged`` implies ``relative_residual <= tolerance``, where
-    ``tolerance`` is the requested value, possibly raised to the level a
-    backward-stable solve can attain for the system's conditioning (the
-    ``backward_error`` field records the normwise backward error).
+    ``converged`` implies ``relative_residual <= tolerance``.
     """
 
     solution: np.ndarray
@@ -39,7 +32,6 @@ class SolveReport:
     relative_residual: float
     converged: bool
     tolerance: float = 0.0
-    backward_error: float = 0.0
     residual_history: list = field(default_factory=list)
 
 
@@ -221,83 +213,3 @@ def dense_spd_solve(M, b):
             f"Cholesky factorization failed: {exc}"
         ) from exc
     return cho_solve(factor, b, check_finite=False)
-
-
-def mdd_solve(K, sigma_p, sigma_m, r, method="auto", tol=1e-10, maxit=None):
-    """Solve the regularized deconvolution system ``(sp^2 K + sm^2 I) x = r``.
-
-    ``K`` must be Hermitian positive semidefinite (certified by Cholesky of
-    the shifted system). Dense Cholesky is used up to dimension 3000,
-    otherwise LSQR; ``method`` may force ``"cholesky"``, ``"lsqr"`` or
-    ``"cg"``. The residual is recomputed from the returned solution rather
-    than trusted from the solver. When the system is too ill-conditioned
-    for the requested residual to be attainable in double precision, a
-    backward-stable solution (normwise backward error at rounding level) is
-    accepted and the achieved residual recorded as the effective tolerance.
-    """
-    K = np.asarray(K)
-    r = np.asarray(r).ravel()
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise RejectedInputError("kernel must be a square matrix")
-    if len(r) != K.shape[0]:
-        raise DimensionMismatchError(
-            f"rhs length {len(r)} does not match kernel dim {K.shape[0]}"
-        )
-    if sigma_p < 0 or sigma_m < 0:
-        raise RejectedInputError("weights must be nonnegative")
-    if sigma_p**2 + sigma_m**2 == 0.0:
-        raise DegenerateWeightsError("sigma_p and sigma_m are both zero")
-    scale = np.linalg.norm(K)
-    if np.linalg.norm(K - K.conj().T) > _HERMITIAN_RTOL * (scale + 1e-300):
-        raise InvalidKernelError("kernel is not Hermitian to 1e-12")
-
-    n = K.shape[0]
-    if sigma_p == 0.0:
-        # Pure identity system; exact in one step.
-        x = r / sigma_m**2
-        return SolveReport(x, 0, 0.0, True, tolerance=tol)
-
-    M = sigma_p**2 * K + sigma_m**2 * np.eye(n)
-    if method == "auto":
-        method = "cholesky" if n <= _DENSE_LIMIT else "lsqr"
-
-    if method == "cholesky":
-        try:
-            factor = cho_factor(M, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidKernelError(
-                f"kernel is indefinite beyond tolerance: {exc}"
-            ) from exc
-        x = cho_solve(factor, r, check_finite=False)
-        iterations = 0
-        history = []
-    elif method == "lsqr":
-        rep = lsqr(DenseOperator(M), r, damp=0.0, tol=tol, maxit=maxit)
-        x, iterations, history = rep.solution, rep.iterations, rep.residual_history
-    elif method == "cg":
-        rep = cg(M, r, tol=tol, maxit=maxit)
-        x, iterations, history = rep.solution, rep.iterations, rep.residual_history
-    else:
-        raise RejectedInputError(f"unknown method {method!r}")
-
-    res = M @ x - r
-    rnorm = np.linalg.norm(r)
-    relres = float(np.linalg.norm(res) / (rnorm + 1e-300))
-    backward = float(
-        np.linalg.norm(res)
-        / (np.linalg.norm(M) * np.linalg.norm(x) + rnorm + 1e-300)
-    )
-    effective_tol = tol
-    converged = relres <= tol
-    if not converged and backward <= 64 * _EPS:
-        converged = True
-        effective_tol = max(tol, relres)
-    return SolveReport(
-        np.asarray(x),
-        iterations,
-        relres,
-        converged,
-        tolerance=effective_tol,
-        backward_error=backward,
-        residual_history=history,
-    )

@@ -4,9 +4,9 @@ A point source at the origin, three receivers at fixed distances, data
 synthesized at the true velocity, and the reduced objective scanned over a
 velocity grid in its two limiting regimes: vanishing process uncertainty
 ("conventional", the plain data misfit) and vanishing measurement
-uncertainty ("extended", where the misfit is measured through the
-correlation kernel and a time-extended source absorbs what it can of the
-residual).
+uncertainty ("extended", where a time-extended source absorbs what it can
+of the residual and the misfit is what remains, equivalently the residual
+measured through the correlation kernel).
 
 Limits are realized with small positive floors scaled by the data norm, so
 every solve stays well posed.
@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RejectedInputError, XfwiError
-from .solvers import SolveReport, mdd_solve
-from .wavemodel import (
-    Acquisition,
-    Dataset,
-    adjoint_F,
-    forward_F,
-    kernel_matrix,
-)
+from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
+from .solvers import dense_spd_solve
+from .wavemodel import Acquisition, Dataset, dense_forward_matrix, forward_F
 
 REGIMES = ("conventional", "extended", "general")
 
@@ -112,17 +106,43 @@ def _regime_weights(cfg, regime, data_norm):
     raise RejectedInputError(f"unknown regime {regime!r}")
 
 
+def _fit_extension(c, acq, r, sigma_p, sigma_m):
+    """Weighted misfit of the residual ``r`` and the extension attaining it.
+
+    The data-space form ``r^T (sigma_p^2 F F^T + sigma_m^2 I)^{-1} r`` equals
+    ``min_f ||F f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` with ``F = F(c)``,
+    an ``nt x nt`` problem rather than an ``(n_rec nt) x (n_rec nt)`` one. Its
+    minimizer is ``f = -f_hat`` with
+    ``(F^T F + (sigma_m / sigma_p)^2 I) f_hat = F^T r``, solved by dense
+    Cholesky. The objective is evaluated at the computed minimizer, where it
+    is stationary, so solve errors enter only to second order.
+
+    Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
+    ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
+    undefined and raises DegenerateWeightsError.
+    """
+    if sigma_m == 0.0:
+        raise DegenerateWeightsError("sigma_m is zero; the misfit is undefined")
+    if sigma_p == 0.0:
+        return float(r @ r) / sigma_m**2, np.zeros(acq.nt)
+    F = dense_forward_matrix(c, acq)
+    normal = F.T @ F
+    normal[np.diag_indices_from(normal)] += (sigma_m / sigma_p) ** 2
+    f_hat = dense_spd_solve(normal, F.T @ r)
+    misfit = r - F @ f_hat
+    phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
+    return phi, -f_hat
+
+
 @dataclass
 class ExtendedSourceResult:
     c: float
     regime: str
-    r_tilde: np.ndarray
     extension: np.ndarray
     q_plus_f: np.ndarray
     fitted: Dataset
     clean: Dataset
     observed: Dataset
-    report: SolveReport
     fit_rel: float
     extension_ratio: float
 
@@ -130,13 +150,13 @@ class ExtendedSourceResult:
 def estimate_extended_source(cfg, c, regime="extended"):
     """Best time-extended source at a trial velocity and the data it predicts.
 
-    Solves the deconvolution system
-    ``(sigma_p^2 K(c) + sigma_m^2 I) r_tilde = F(c) q - d`` and maps the
-    weighted residual back through the adjoint, ``f = -sigma_p^2 F(c)^*
-    r_tilde``, which is the minimizer of the extended-source objective
-    (equivalently ``+sigma_p^2 F^*`` applied to the solve against
-    ``d - F(c) q``). Returns the extension together with the fitted data
-    ``F(c)(q + f)``; the fit never degrades the plain misfit.
+    The extension ``f`` minimizes
+    ``||F(c)(q + f) - d||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` with the
+    regime's weights, found from the ``nt x nt`` normal equations of that
+    least-squares problem (see ``_fit_extension``). Returns the extension
+    together with the fitted data ``F(c)(q + f)``; the fit never degrades the
+    plain misfit. Raises DegenerateWeightsError when the regime's
+    ``sigma_m`` is zero.
     """
     if not c > 0:
         raise RejectedInputError("velocity must be positive")
@@ -147,21 +167,17 @@ def estimate_extended_source(cfg, c, regime="extended"):
     r = clean.values.ravel() - observed.values.ravel()
     d_norm = float(np.linalg.norm(observed.values))
     sigma_p, sigma_m = _regime_weights(cfg, regime, d_norm)
-    K = kernel_matrix(c, acq)
-    report = mdd_solve(K, sigma_p, sigma_m, r)
-    f = -sigma_p**2 * adjoint_F(c, acq, report.solution.reshape(clean.values.shape).real)
+    _, f = _fit_extension(c, acq, r, sigma_p, sigma_m)
     fitted = forward_F(c, acq, q + f)
     fit_rel = float(np.linalg.norm(fitted.values - observed.values) / d_norm)
     return ExtendedSourceResult(
         c=float(c),
         regime=regime,
-        r_tilde=report.solution,
         extension=f,
         q_plus_f=q + f,
         fitted=fitted,
         clean=clean,
         observed=observed,
-        report=report,
         fit_rel=fit_rel,
         extension_ratio=float(np.linalg.norm(f) / np.linalg.norm(q)),
     )
@@ -175,12 +191,13 @@ class ScanResult:
     c_values: np.ndarray
     phi_raw: np.ndarray
     phi_norm: np.ndarray
-    iterations: np.ndarray
-    relres: np.ndarray
     status: list = field(default_factory=list)
 
     @property
     def argmin_c(self):
+        """Velocity of the smallest objective value; NaN when no point is ok."""
+        if not np.isfinite(self.phi_raw).any():
+            return float("nan")
         return float(self.c_values[int(np.nanargmin(self.phi_raw))])
 
     @property
@@ -192,11 +209,15 @@ def scan_objective(cfg, regime):
     """Evaluate the objective over the configured velocity grid.
 
     The conventional regime uses the analytic vanishing-process limit
-    ``||r||^2 / sigma_m^2`` (no kernel solve); the extended regime solves
-    the kernel-weighted system with the measurement floor; the general
-    regime uses both configured weights. Per-point failures are recorded in
-    ``status`` and the scan continues. Curves are normalized by their
-    maximum so regimes of incomparable scale can be overlaid.
+    ``||r||^2 / sigma_m^2``; the extended regime (measurement floor) and the
+    general regime (both configured weights) minimize the extended-source
+    objective ``||F(c) f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` over the
+    extension ``f`` by an ``nt x nt`` Cholesky solve, which equals the
+    kernel-weighted misfit ``r^T (sigma_p^2 K + sigma_m^2 I)^{-1} r``. A point
+    that fails (for instance ``sigma_m = 0``) gets NaN and the exception's
+    class name as its ``status``, and the scan continues. Curves are
+    normalized by their maximum so regimes of incomparable scale can be
+    overlaid.
     """
     if regime not in REGIMES:
         raise RejectedInputError(f"unknown regime {regime!r}")
@@ -206,24 +227,18 @@ def scan_objective(cfg, regime):
     q = make_wavelet(cfg)
     observed = synthesize_data(cfg)
     d_flat = observed.values.ravel()
-    d_norm = float(np.linalg.norm(d_flat))
-    sigma_p, sigma_m = _regime_weights(cfg, regime, d_norm)
+    if regime == "conventional":
+        sigma_p, sigma_m = 0.0, cfg.sigma_m
+    else:
+        d_norm = float(np.linalg.norm(d_flat))
+        sigma_p, sigma_m = _regime_weights(cfg, regime, d_norm)
 
     phi = np.full(n_points, np.nan)
-    iters = np.zeros(n_points, dtype=int)
-    relres = np.zeros(n_points)
     status = []
     for k, c in enumerate(c_values):
         try:
             r = forward_F(c, acq, q).values.ravel() - d_flat
-            if regime == "conventional":
-                phi[k] = float(r @ r) / cfg.sigma_m**2
-            else:
-                K = kernel_matrix(c, acq)
-                rep = mdd_solve(K, sigma_p, sigma_m, r)
-                phi[k] = max(float(np.vdot(r, rep.solution).real), 0.0)
-                iters[k] = rep.iterations
-                relres[k] = rep.relative_residual
+            phi[k] = _fit_extension(c, acq, r, sigma_p, sigma_m)[0]
             status.append("ok")
         except XfwiError as exc:
             status.append(type(exc).__name__)
@@ -234,8 +249,6 @@ def scan_objective(cfg, regime):
         c_values=c_values,
         phi_raw=phi,
         phi_norm=phi_norm,
-        iterations=iters,
-        relres=relres,
         status=status,
     )
 

@@ -152,16 +152,26 @@ class TestScanCommand:
             "phi_extended_norm",
             "phi_conventional_raw",
             "phi_extended_raw",
-            "iters_ext",
             "status",
         ]
         assert len(rows) == 21
-        assert all(r[6] == "ok" for r in rows)
+        assert all(r[5] == "ok" for r in rows)
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["argmin"]["conventional"] == pytest.approx(2.0)
         assert summary["argmin"]["extended"] == pytest.approx(2.0)
         widths = summary["basin_width_half_max"]
         assert widths["extended"] > widths["conventional"]
+
+    def test_zero_measurement_weight_fails_every_point(self, tmp_path):
+        # sigma_m = 0 leaves the conventional misfit undefined: every point
+        # gets a named status instead of a value, and the command exits 1.
+        toy = {**SMALL_TOY["toy"], "sigma_m": 0.0}
+        cfg = write_config(tmp_path, {"toy": toy})
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 1
+        _, rows = read_csv(out / "scan.csv")
+        assert all(r[5] == "DegenerateWeightsError/ok" for r in rows)
+        assert all(r[3] == "nan" for r in rows)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TOY)
@@ -193,6 +203,14 @@ class TestExtsrcCommand:
             header, rows = read_csv(out / f"extdata_c{c}.csv")
             assert header == ["t", "receiver_id", "observed", "clean_model", "fitted"]
             assert len(rows) == 3 * SMALL_TOY["toy"]["nt"]
+
+    def test_zero_measurement_weight_exits_1(self, tmp_path):
+        toy = {**SMALL_TOY["toy"], "sigma_m": 0.0}
+        cfg = write_config(tmp_path, {"toy": toy})
+        out = tmp_path / "out"
+        assert main(
+            ["extsrc", "--config", cfg, "--out", str(out), "--regime", "general"]
+        ) == 1
 
     def test_conventional_regime_flag(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TOY)

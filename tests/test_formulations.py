@@ -124,14 +124,6 @@ class TestJointAndReduced:
         assert rep.value == pytest.approx(inner, rel=1e-12)
         assert rep.value >= 0.0
 
-    @pytest.mark.parametrize("method", ["lsqr", "cg"])
-    def test_iterative_weight_solve_matches_cholesky(self, method):
-        prob, m = make_helmholtz_instance(seed=9)
-        direct = phi_reduced(prob, m).value
-        iterative = phi_reduced(prob, m, method=method)
-        assert iterative.value == pytest.approx(direct, rel=1e-8)
-        assert iterative.solver_iterations > 0
-
     def test_reduced_tends_to_conventional(self):
         prob, m = make_helmholtz_instance(seed=10, cov_kind="scaled")
         conv = phi_conventional(prob, m).value

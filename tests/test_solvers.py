@@ -1,23 +1,12 @@
 import numpy as np
 import pytest
 
-from xfwi import (
-    DenseOperator,
-    IdentityOperator,
-    cg,
-    dense_spd_solve,
-    kernel_matrix,
-    lsqr,
-    mdd_solve,
-)
+from xfwi import DenseOperator, IdentityOperator, cg, dense_spd_solve, lsqr
 from xfwi.errors import (
-    DegenerateWeightsError,
     DimensionMismatchError,
-    InvalidKernelError,
     NotPositiveDefiniteError,
     RejectedInputError,
 )
-from xfwi.wavemodel import Acquisition
 
 
 def random_spd(n, seed, complex_entries=False):
@@ -120,60 +109,3 @@ class TestDenseSpdSolve:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-
-
-class TestMddSolve:
-    def test_zero_process_weight_is_identity_solve(self):
-        rng = np.random.default_rng(0)
-        K = random_spd(6, seed=7)
-        r = rng.standard_normal(6)
-        rep = mdd_solve(K, sigma_p=0.0, sigma_m=1.0, r=r)
-        assert rep.converged and np.array_equal(rep.solution, r)
-
-    def test_identity_kernel_halves(self):
-        r = np.array([2.0, -4.0, 6.0])
-        rep = mdd_solve(np.eye(3), sigma_p=1.0, sigma_m=1.0, r=r)
-        assert np.allclose(rep.solution, r / 2.0, atol=1e-12)
-
-    def test_toy_kernel_lsqr_matches_cholesky(self):
-        rec = np.zeros((3, 3))
-        rec[:, 0] = [0.8, 1.0, 1.2]
-        acq = Acquisition(np.zeros(3), rec, nt=96, dt=0.008)
-        K = kernel_matrix(2.0, acq)
-        rng = np.random.default_rng(12)
-        r = rng.standard_normal(K.shape[0])
-        x_chol = mdd_solve(K, 1.0, 1.0, r, method="cholesky").solution
-        x_lsqr = mdd_solve(K, 1.0, 1.0, r, method="lsqr", tol=1e-13).solution
-        assert np.linalg.norm(x_lsqr - x_chol) <= 1e-9 * np.linalg.norm(x_chol)
-
-    def test_degenerate_weights(self):
-        with pytest.raises(DegenerateWeightsError):
-            mdd_solve(np.eye(3), 0.0, 0.0, np.ones(3))
-
-    def test_non_hermitian_kernel(self):
-        with pytest.raises(InvalidKernelError):
-            mdd_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0, 1.0, np.ones(2))
-
-    def test_indefinite_kernel(self):
-        with pytest.raises(InvalidKernelError):
-            mdd_solve(-np.eye(3), 1.0, 0.1, np.ones(3))
-
-    def test_residual_is_recomputed(self):
-        K = random_spd(20, seed=8)
-        rng = np.random.default_rng(14)
-        r = rng.standard_normal(20)
-        rep = mdd_solve(K, 1.3, 0.4, r)
-        M = 1.3**2 * K + 0.4**2 * np.eye(20)
-        manual = np.linalg.norm(M @ rep.solution - r) / np.linalg.norm(r)
-        assert rep.relative_residual == pytest.approx(manual, rel=1e-12)
-        assert rep.converged
-        assert rep.relative_residual <= rep.tolerance
-
-    def test_quadratic_form_nonnegative(self):
-        rng = np.random.default_rng(15)
-        B = rng.standard_normal((10, 4))
-        K = B @ B.T  # PSD, rank deficient
-        for _ in range(5):
-            r = rng.standard_normal(10)
-            rep = mdd_solve(K, 1.0, 0.5, r)
-            assert np.vdot(r, rep.solution).real >= 0.0

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import qr, solve_triangular
 
 from xfwi import (
+    DegenerateWeightsError,
     ToyConfig,
     acquisition,
     adjoint_F,
@@ -14,6 +18,7 @@ from xfwi import (
     synthesize_data,
 )
 from xfwi.errors import RejectedInputError
+from xfwi.toy import REGIMES
 
 
 class TestWavelet:
@@ -150,3 +155,139 @@ def test_kernel_matrix_matches_round_trip(small_toy_config):
             1.9, acq, adjoint_F(1.9, acq, e.reshape(3, cfg.nt))
         ).values.ravel()
         assert np.linalg.norm(K[:, k] - col) <= 1e-10 * max(1.0, np.linalg.norm(col))
+
+
+# ---------------------------------------------------------------------------
+# Source-space oracle: the toy objective from forward_F and a QR solve alone.
+
+
+def forward_columns(c, acq):
+    """F(c) as a dense matrix, built by applying forward_F to unit vectors."""
+    return np.column_stack(
+        [forward_F(c, acq, e).values.ravel() for e in np.eye(acq.nt)]
+    )
+
+
+def extended_objective(F, r, f, sigma_p, sigma_m):
+    """``||F f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2``."""
+    res = F @ f + r
+    return float(res @ res) / sigma_m**2 + float(f @ f) / sigma_p**2
+
+
+def qr_oracle(F, r, sigma_p, sigma_m):
+    """Minimum of :func:`extended_objective` over f, by QR of ``[F; (sm/sp) I]``.
+
+    The stacked least-squares matrix has the square root of the condition
+    number of the normal equations, so it serves as the independent reference.
+    """
+    nt = F.shape[1]
+    Q, R = qr(np.vstack([F, (sigma_m / sigma_p) * np.eye(nt)]), mode="economic")
+    f_hat = solve_triangular(R, Q.T @ np.concatenate([r, np.zeros(nt)]))
+    return extended_objective(F, r, -f_hat, sigma_p, sigma_m)
+
+
+def residual(cfg, c):
+    acq = acquisition(cfg)
+    clean = forward_F(c, acq, make_wavelet(cfg))
+    return (clean.values - synthesize_data(cfg).values).ravel()
+
+
+def scan_weights(cfg, regime):
+    """(sigma_p, sigma_m) of the scan; its conventional regime is the exact limit."""
+    d_norm = float(np.linalg.norm(synthesize_data(cfg).values))
+    if regime == "conventional":
+        return 0.0, cfg.sigma_m
+    if regime == "extended":
+        return cfg.sigma_p, cfg.floor * d_norm
+    return cfg.sigma_p, cfg.sigma_m
+
+
+def extsrc_weights(cfg, regime):
+    """(sigma_p, sigma_m) of extsrc; its conventional regime keeps a floored sigma_p."""
+    if regime == "conventional":
+        d_norm = float(np.linalg.norm(synthesize_data(cfg).values))
+        return cfg.floor * d_norm, cfg.sigma_m
+    return scan_weights(cfg, regime)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ToyConfig(nt=1024, f0=15.0, scan=(1.6, 2.2, 4)),  # the README config
+        ToyConfig(nt=512, scan=(1.6, 2.2, 4)),
+    ],
+    ids=["nt1024", "nt512"],
+)
+def test_extended_regime_matches_qr_oracle(cfg):
+    # The floored extended regime gives the data-space system a condition
+    # number near 1e11; the objective must still agree with the oracle to
+    # 1e-10 at every off-truth velocity, and every point must be ok.
+    scan = scan_objective(cfg, "extended")
+    assert scan.status == ["ok"] * 4
+    sigma_p, sigma_m = scan_weights(cfg, "extended")
+    acq = acquisition(cfg)
+    for k in (0, 1, 3):  # c = 1.6, 1.8, 2.2; the truth c = 2.0 has phi ~ 0
+        c = scan.c_values[k]
+        F = forward_columns(c, acq)
+        r = residual(cfg, c)
+        expected = qr_oracle(F, r, sigma_p, sigma_m)
+        assert abs(scan.phi_raw[k] - expected) <= 1e-10 * expected, c
+        ext = estimate_extended_source(cfg, c, regime="extended")
+        attained = extended_objective(F, r, ext.extension, sigma_p, sigma_m)
+        assert abs(attained - expected) <= 1e-10 * expected, c
+
+
+WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def toy_configs(draw):
+    sigma_m, sigma_p = draw(WEIGHTS), draw(WEIGHTS)
+    assume(sigma_m > 0 or sigma_p > 0)
+    distances = draw(
+        st.lists(st.floats(0.3, 1.5), min_size=2, max_size=4, unique=True)
+    )
+    return ToyConfig(
+        receiver_distances=tuple(distances),
+        nt=draw(st.integers(32, 200)),
+        dt=0.008,
+        f0=8.0,
+        t0=0.2,
+        sigma_m=sigma_m,
+        sigma_p=sigma_p,
+        scan=(1.7, 2.4, 2),
+    )
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@settings(max_examples=9, deadline=None, derandomize=True)
+@given(cfg=toy_configs())
+def test_scan_and_extsrc_match_qr_oracle(regime, cfg):
+    acq = acquisition(cfg)
+    scan = scan_objective(cfg, regime)
+    sigma_p, sigma_m = scan_weights(cfg, regime)
+    for c, phi, status in zip(scan.c_values, scan.phi_raw, scan.status):
+        r = residual(cfg, c)
+        if sigma_m == 0.0:
+            assert status == "DegenerateWeightsError" and np.isnan(phi)
+        elif sigma_p == 0.0:
+            assert status == "ok" and phi == float(r @ r) / sigma_m**2
+        elif status == "ok":
+            expected = qr_oracle(forward_columns(c, acq), r, sigma_p, sigma_m)
+            assert abs(phi - expected) <= 1e-8 * expected
+
+    c = scan.c_values[0]
+    sigma_p, sigma_m = extsrc_weights(cfg, regime)
+    if sigma_m == 0.0:
+        with pytest.raises(DegenerateWeightsError):
+            estimate_extended_source(cfg, c, regime)
+        return
+    ext = estimate_extended_source(cfg, c, regime)
+    if sigma_p == 0.0:
+        assert np.array_equal(ext.extension, np.zeros(cfg.nt))
+    else:
+        F = forward_columns(c, acq)
+        r = residual(cfg, c)
+        expected = qr_oracle(F, r, sigma_p, sigma_m)
+        attained = extended_objective(F, r, ext.extension, sigma_p, sigma_m)
+        assert abs(attained - expected) <= 1e-8 * expected

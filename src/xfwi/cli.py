@@ -209,9 +209,7 @@ def make_equiv_instances(settings, seed):
         m = rng.uniform(settings["m_min"], settings["m_max"], size=n)
         q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if settings["data"] == "consistent":
-            A = assemble_A(model, m).matrix
-            u = np.linalg.solve(A, q)
-            d = u[receivers]
+            d = assemble_A(model, m).solve(q)[receivers]
         else:
             d = rng.standard_normal(len(receivers)) + 1j * rng.standard_normal(
                 len(receivers)
@@ -246,8 +244,7 @@ def gradient_problem(settings, seed, n=None):
     q = np.exp(-((x - 0.35) ** 2) / (2 * 0.05**2)) * (
         1.0 + 0.1 * rng.standard_normal(n)
     ) + 0j
-    A = assemble_A(model, m_true).matrix
-    d = np.linalg.solve(A, q)[receivers]
+    d = assemble_A(model, m_true).solve(q)[receivers]
     sigma_m = CovarianceSpec.scaled_identity(
         (float(settings["sigma_m_rel"]) * np.linalg.norm(d)) ** 2, len(receivers)
     )

@@ -11,7 +11,7 @@ formulation
 
     phi(m) = r^H (K(m) + sigma_m)^{-1} r,    r = P A(m)^{-1} q - d,
 
-where ``K(m) = P (A^H sigma_p^{-1} A)^{-1} P^H`` plays the role of a
+where ``K(m) = P A^{-1} sigma_p A^{-H} P^H`` plays the role of a
 medium-dependent residual covariance (correlations of receiver-side
 responses). Numerical verifiers for the equivalence and for the underlying
 matrix identity live here alongside the gradient and the related
@@ -44,10 +44,15 @@ _DENSE_STATE_LIMIT = 2000
 
 @dataclass(frozen=True)
 class Problem:
-    """One inversion instance: operator builder, geometry, data, weights."""
+    """One inversion instance: operator builder, geometry, data, weights.
+
+    ``A_builder(m)`` returns the square operator ``A(m)`` (a LinearOperator
+    with ``solve``); ``dA_contract(v, w)`` returns the real vector
+    ``(Re <v, (dA/dm_k) w>)_k`` over all medium parameters at once.
+    """
 
     A_builder: Callable
-    dA: Callable
+    dA_contract: Callable
     P: SamplingOperator
     q: np.ndarray
     d: np.ndarray
@@ -120,9 +125,11 @@ def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
     from . import wavemodel
 
     P = SamplingOperator(receiver_indices, model.n)
+    omega2 = model.omega**2
     return Problem(
         A_builder=lambda m: wavemodel.assemble_A(model, m),
-        dA=lambda k: wavemodel.dA_dm(model, k),
+        # dA/dm_k = omega^2 e_k e_k^T, so the contraction is elementwise
+        dA_contract=lambda v, w: omega2 * np.real(np.conj(v) * w),
         P=P,
         q=q,
         d=d,
@@ -132,7 +139,18 @@ def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
 
 
 # ---------------------------------------------------------------------------
-# shared dense pieces
+# shared pieces: the production path works on the factored operator; the
+# dense Gram pieces below it serve the verifiers as an independent oracle
+
+
+def _sensitivity(prob, A):
+    """``G^H = A^{-H} P^H`` and ``K = G sigma_p G^H`` from one factored ``A``.
+
+    One adjoint solve per receiver; ``K`` is returned symmetrised.
+    """
+    GH = A.solve(prob.P.to_dense().T, adjoint=True)
+    K = GH.conj().T @ prob.sigma_p.apply(GH)
+    return GH, 0.5 * (K + K.conj().T)
 
 
 def _dense_A(prob, m):
@@ -226,15 +244,13 @@ def phi_joint(prob, m):
 
 
 def sigma_of_m(prob, m):
-    """Medium-dependent residual covariance ``K = P B^{-1} P^H``.
+    """Medium-dependent residual covariance ``K = P A^{-1} sigma_p A^{-H} P^H``.
 
-    ``B = A^H sigma_p^{-1} A`` is factored once and hit with one basis
-    vector per receiver, so the cost is one simulation pair per receiver.
+    ``A`` is factored once and solved adjointly against one basis vector
+    per receiver, so the cost is one adjoint simulation per receiver.
     Returns a dense Hermitian ``data_dim x data_dim`` array.
     """
-    A = _dense_A(prob, m)
-    _, B_factor = _gram_factor(prob, A)
-    return _sigma_of_m_from_factor(prob, B_factor)
+    return _sensitivity(prob, prob.A_builder(m))[1]
 
 
 def phi_reduced(prob, m):
@@ -244,11 +260,9 @@ def phi_reduced(prob, m):
     ``(K + sigma_m) r_tilde = r`` by dense Cholesky, and returns
     ``Re <r, r_tilde>`` with both residual vectors in the report.
     """
-    A = _dense_A(prob, m)
-    u0 = np.linalg.solve(A, prob.q)
-    r = prob.P.matvec(u0) - prob.d
-    _, B_factor = _gram_factor(prob, A)
-    K = _sigma_of_m_from_factor(prob, B_factor)
+    A = prob.A_builder(m)
+    r = prob.P.matvec(A.solve(prob.q)) - prob.d
+    _, K = _sensitivity(prob, A)
     try:
         r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
     except NotPositiveDefiniteError as exc:
@@ -273,8 +287,7 @@ def phi_conventional(prob, m):
     This is the vanishing-process-uncertainty limit of the reduced
     objective, implemented analytically (no floor).
     """
-    A = _dense_A(prob, m)
-    r = prob.P.matvec(np.linalg.solve(A, prob.q)) - prob.d
+    r = prob.P.matvec(prob.A_builder(m).solve(prob.q)) - prob.d
     return ObjectiveReport(
         value=weighted_norm_sq(prob.sigma_m, r),
         residual=r,
@@ -385,7 +398,7 @@ def grad_phi(prob, m, variant="adjoint"):
 
     The default ``"adjoint"`` variant differentiates
     ``phi = r^H (K + sigma_m)^{-1} r`` exactly, using three auxiliary
-    fields per evaluation:
+    fields per evaluation from one factorization of ``A``:
 
         u0 = A^{-1} q
         v0 = A^{-H} P^H (K + sigma_m)^{-1} (P u0 - d)
@@ -393,7 +406,8 @@ def grad_phi(prob, m, variant="adjoint"):
         d phi / d m_k = 2 Re < v0, (dA/dm_k) (w0 - u0) >
 
     so only one extra forward solve beyond the conventional adjoint state
-    is needed. ``variant="paper"`` evaluates an alternative form that
+    is needed, and all k are taken in one ``prob.dA_contract``.
+    ``variant="paper"`` evaluates an alternative form that
     weights the data residual by ``(K^{-1} + sigma_m^{-1})`` and takes
     ``w0 = A^{-1} sigma_p^{-1} v0``; it feeds the ``paper_variant``
     comparison column of gradient reports and does not match finite
@@ -401,33 +415,21 @@ def grad_phi(prob, m, variant="adjoint"):
     """
     if variant not in ("adjoint", "paper"):
         raise RejectedInputError(f"unknown gradient variant {variant!r}")
-    A = _dense_A(prob, m)
-    u0 = np.linalg.solve(A, prob.q)
+    A = prob.A_builder(m)
+    u0 = A.solve(prob.q)
     r = prob.P.matvec(u0) - prob.d
-    _, B_factor = _gram_factor(prob, A)
-    K = _sigma_of_m_from_factor(prob, B_factor)
+    GH, K = _sensitivity(prob, A)
 
     if variant == "adjoint":
-        S = K + prob.sigma_m.to_dense()
-        r_tilde = dense_spd_solve(S, r)
-        v0 = np.linalg.solve(A.conj().T, prob.P.rmatvec(r_tilde))
-        w0 = np.linalg.solve(A, prob.sigma_p.apply(v0))
-        direction = w0 - u0
-        g = np.empty(len(medium_values(m)))
-        for k in range(len(g)):
-            g[k] = 2.0 * np.vdot(v0, prob.dA(k).matvec(direction)).real
-        return g
+        r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
+        v0 = GH @ r_tilde
+        w0 = A.solve(prob.sigma_p.apply(v0))
+        return 2.0 * prob.dA_contract(v0, w0 - u0)
 
     weighted = dense_spd_solve(K, r) + prob.sigma_m.solve(r)
-    v0 = np.linalg.solve(A.conj().T, prob.P.rmatvec(weighted))
-    w0 = np.linalg.solve(A, prob.sigma_p.solve(v0))
-    g = np.empty(len(medium_values(m)))
-    for k in range(len(g)):
-        dA_k = prob.dA(k)
-        g[k] = (
-            -2.0 * np.vdot(u0, dA_k.matvec(v0)) + 2.0 * np.vdot(v0, dA_k.matvec(w0))
-        ).real
-    return g
+    v0 = GH @ weighted
+    w0 = A.solve(prob.sigma_p.solve(v0))
+    return -2.0 * prob.dA_contract(u0, v0) + 2.0 * prob.dA_contract(v0, w0)
 
 
 def fd_gradient(prob, m, rel_step=1e-4, richardson=True):

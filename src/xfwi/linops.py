@@ -6,7 +6,8 @@ with zero imaginary parts. All adjoints follow the inner product
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
     DimensionMismatchError,
@@ -29,6 +30,7 @@ class LinearOperator:
     def __init__(self, range_dim, domain_dim):
         self.range_dim = int(range_dim)
         self.domain_dim = int(domain_dim)
+        self._factor = None
 
     @property
     def shape(self):
@@ -49,6 +51,19 @@ class LinearOperator:
             out[:, k] = self.matvec(e)
             e[k] = 0.0
         return out
+
+    def solve(self, b, adjoint=False):
+        """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
+
+        The dense LU of :meth:`to_dense` is computed on the first call and
+        cached. ``b`` may hold one right-hand side per column.
+        """
+        if self._factor is None:
+            lu, piv = lu_factor(self.to_dense(), check_finite=False)
+            if np.any(np.diagonal(lu) == 0):
+                raise IllConditionedError("operator is singular: zero pivot in its LU")
+            self._factor = (lu, piv)
+        return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -75,6 +90,59 @@ class DenseOperator(LinearOperator):
 
     def to_dense(self):
         return self.matrix
+
+
+class TridiagonalOperator(LinearOperator):
+    """Square operator stored by its three diagonals.
+
+    ``lower[k] = A[k + 1, k]``, ``diag[k] = A[k, k]`` and
+    ``upper[k] = A[k, k + 1]``. Products cost O(n); :meth:`solve` factors
+    once with LAPACK ``gttrf`` (partial pivoting) and reuses the factor for
+    every later solve, forward or adjoint.
+    """
+
+    def __init__(self, lower, diag, upper):
+        diag = np.asarray(diag, dtype=complex)
+        lower = np.asarray(lower, dtype=complex)
+        upper = np.asarray(upper, dtype=complex)
+        n = diag.size
+        if diag.ndim != 1 or lower.shape != (n - 1,) or upper.shape != (n - 1,):
+            raise DimensionMismatchError(
+                f"tridiagonal operator needs diagonals of lengths n - 1, n, n - 1; "
+                f"got {lower.shape}, {diag.shape}, {upper.shape}"
+            )
+        super().__init__(n, n)
+        self.lower = lower
+        self.diag = diag
+        self.upper = upper
+
+    def matvec(self, x):
+        x = np.asarray(x)
+        y = self.diag * x
+        y[:-1] += self.upper * x[1:]
+        y[1:] += self.lower * x[:-1]
+        return y
+
+    def rmatvec(self, y):
+        y = np.asarray(y)
+        x = self.diag.conj() * y
+        x[:-1] += self.lower.conj() * y[1:]
+        x[1:] += self.upper.conj() * y[:-1]
+        return x
+
+    def to_dense(self):
+        return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
+
+    def solve(self, b, adjoint=False):
+        if self._factor is None:
+            *factor, info = zgttrf(self.lower, self.diag, self.upper)
+            if info > 0:
+                raise IllConditionedError(
+                    f"tridiagonal operator is singular: zero pivot at row {info}"
+                )
+            self._factor = factor
+        x, _ = zgttrs(*self._factor, b, trans="C" if adjoint else "N")
+        return x
 
 
 class IdentityOperator(LinearOperator):

@@ -1,7 +1,8 @@
 """Concrete physics backing the inversion formulations.
 
 Two models live here. A one-dimensional frequency-domain Helmholtz operator,
-assembled densely so every algebraic claim can be checked against explicit
+assembled as a tridiagonal operator that solves in O(n) and still
+materializes densely so every algebraic claim can be checked against explicit
 matrices, and the analytic constant-velocity propagator in three dimensions,
 whose Green's function ``g(t, x) = delta(t - |x|/c) / |x|`` turns forward
 modeling into per-receiver delay-and-scale convolutions evaluated with FFTs.
@@ -23,12 +24,17 @@ from .errors import (
     RejectedInputError,
     SingularGeometryError,
 )
-from .linops import DenseOperator, FunctionOperator, SamplingOperator
+from .linops import (
+    DenseOperator,
+    FunctionOperator,
+    SamplingOperator,
+    TridiagonalOperator,
+)
 
 BOUNDARY_DIRICHLET = "dirichlet"
 BOUNDARY_SOMMERFELD = "sommerfeld"
 
-# Condition estimates are skipped above this size; assembly stays O(n^2).
+# Condition numbers are skipped above this size.
 _COND_CHECK_MAX_N = 600
 
 
@@ -186,7 +192,7 @@ class KernelPanels:
 
 
 def assemble_A(model, m, check_condition=True):
-    """Assemble the dense Helmholtz operator ``A(m) = L + omega^2 diag(m)``.
+    """Assemble the tridiagonal Helmholtz operator ``A(m) = L + omega^2 diag(m)``.
 
     Parameters
     ----------
@@ -199,7 +205,7 @@ def assemble_A(model, m, check_condition=True):
 
     Returns
     -------
-    DenseOperator
+    TridiagonalOperator
     """
     v = medium_values(m)
     if len(v) != model.n:
@@ -207,19 +213,17 @@ def assemble_A(model, m, check_condition=True):
             f"model has {model.n} grid points, medium has {len(v)}"
         )
     n, h, omega = model.n, model.h, model.omega
-    A = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n - 1)
-    A[idx, idx + 1] = -1.0 / h**2
-    A[idx + 1, idx] = -1.0 / h**2
-    np.fill_diagonal(A, 2.0 / h**2 + omega**2 * v)
+    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    diag = (2.0 / h**2 + omega**2 * v).astype(complex)
     if model.boundary == BOUNDARY_SOMMERFELD:
         impedance = 1j * omega * np.sqrt(model.boundary_m0) / h
         for k in (0, n - 1):
-            A[k, k] = 1.0 / h**2 + omega**2 * v[k] - impedance
+            diag[k] = 1.0 / h**2 + omega**2 * v[k] - impedance
+    A = TridiagonalOperator(off, diag, off)
     if check_condition and n <= _COND_CHECK_MAX_N:
         try:
             # cond(A, 1) keeps the complex dtype (zero imaginary part)
-            cond = float(abs(np.linalg.cond(A, 1)))
+            cond = float(abs(np.linalg.cond(A.to_dense(), 1)))
         except np.linalg.LinAlgError:
             cond = np.inf
         if not cond < 1e14:
@@ -227,11 +231,15 @@ def assemble_A(model, m, check_condition=True):
                 f"assembled operator condition {cond:.3e} exceeds 1e14",
                 condition=cond,
             )
-    return DenseOperator(A)
+    return A
 
 
 def dA_dm(model, k):
-    """Derivative of the assembled operator w.r.t. ``m_k``: ``omega^2 e_k e_k^T``."""
+    """Derivative of the assembled operator w.r.t. ``m_k``: ``omega^2 e_k e_k^T``.
+
+    A dense per-k reference; the gradient contracts all k at once instead
+    (``Problem.dA_contract``).
+    """
     if not 0 <= k < model.n:
         raise RejectedInputError(f"index {k} out of range for n = {model.n}")
     D = np.zeros((model.n, model.n))

@@ -28,7 +28,7 @@ def make_helmholtz_instance(
     if data == "consistent":
         from xfwi import assemble_A
 
-        d = np.linalg.solve(assemble_A(model, m).matrix, q)[receivers]
+        d = np.linalg.solve(assemble_A(model, m).to_dense(), q)[receivers]
     else:
         nr = len(receivers)
         d = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
@@ -43,7 +43,7 @@ def scaled_problem(prob, alpha):
 
     return Problem(
         A_builder=prob.A_builder,
-        dA=prob.dA,
+        dA_contract=prob.dA_contract,
         P=prob.P,
         q=prob.q,
         d=prob.d,

@@ -90,7 +90,7 @@ def test_criterion_2_matrix_identity():
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
         prob = Problem(
             A_builder=lambda m, M=M: DenseOperator(M),
-            dA=lambda k: DenseOperator(np.zeros((n, n))),
+            dA_contract=lambda v, w: np.zeros(n),
             P=SamplingOperator([1, 7, 13], n),
             q=np.zeros(n),
             d=np.zeros(3),
@@ -133,7 +133,7 @@ def test_criterion_4_limits():
     floor_p = 1e-8 * np.linalg.norm(prob.d)
     loose = Problem(
         A_builder=prob.A_builder,
-        dA=prob.dA,
+        dA_contract=prob.dA_contract,
         P=prob.P,
         q=prob.q,
         d=prob.d,

@@ -110,6 +110,12 @@ class TestGradCheck:
         assert len(rows) == 10
         assert all(float(r[3]) <= 1e-4 for r in rows)
 
+    def test_n100_seed2_passes(self, tmp_path):
+        # step-1e-4 differences resolve the gradient at n = 100 to the 1e-4 bound
+        cfg = write_config(tmp_path, {"grad": {"n": 100}})
+        out = tmp_path / "out"
+        assert main(["grad-check", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+
     def test_consistent_data_gradient_vanishes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 10, "data": "consistent"}})
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from xfwi import (
     Problem,
     SamplingOperator,
     assemble_A,
+    dA_dm,
     fd_gradient,
     grad_phi,
     helmholtz_problem,
@@ -30,10 +31,9 @@ from xfwi.errors import RejectedInputError, UnsupportedGeometryError
 
 
 def identity_problem(n, receivers, q, d, sigma_m, sigma_p):
-    zero = DenseOperator(np.zeros((n, n)))
     return Problem(
         A_builder=lambda m: IdentityOperator(n),
-        dA=lambda k: zero,
+        dA_contract=lambda v, w: np.zeros(n),
         P=SamplingOperator(receivers, n),
         q=q,
         d=d,
@@ -54,7 +54,7 @@ class TestSolveState:
         prob, m = make_helmholtz_instance(seed=2, cov_kind="scaled")
         tight = Problem(
             A_builder=prob.A_builder,
-            dA=prob.dA,
+            dA_contract=prob.dA_contract,
             P=prob.P,
             q=prob.q,
             d=prob.d,
@@ -130,7 +130,7 @@ class TestJointAndReduced:
         floor = 1e-8 * np.linalg.norm(prob.d)
         loose = Problem(
             A_builder=prob.A_builder,
-            dA=prob.dA,
+            dA_contract=prob.dA_contract,
             P=prob.P,
             q=prob.q,
             d=prob.d,
@@ -147,7 +147,7 @@ class TestJointAndReduced:
         for sp in (1e-2, 1e-4, 1e-6, 1e-8):
             loose = Problem(
                 A_builder=prob.A_builder,
-                dA=prob.dA,
+                dA_contract=prob.dA_contract,
                 P=prob.P,
                 q=prob.q,
                 d=prob.d,
@@ -226,7 +226,7 @@ class TestGradient:
         floor = 1e-8 * np.linalg.norm(prob.d)
         loose = Problem(
             A_builder=prob.A_builder,
-            dA=prob.dA,
+            dA_contract=prob.dA_contract,
             P=prob.P,
             q=prob.q,
             d=prob.d,
@@ -234,14 +234,16 @@ class TestGradient:
             sigma_p=CovarianceSpec.scaled_identity(floor**2, prob.state_dim),
         )
         g = grad_phi(loose, m)
-        # independent conventional adjoint-state gradient
+        # independent conventional adjoint-state gradient, per-k dense dA_k
+        # on the instance's grid (make_helmholtz_instance defaults)
+        model = HelmholtzModel1D(n=20, h=0.05, omega=30.0, boundary="sommerfeld")
         A = prob.A_builder(m).to_dense()
         u0 = np.linalg.solve(A, prob.q)
         r = prob.P.matvec(u0) - prob.d
         v0 = np.linalg.solve(A.conj().T, prob.P.rmatvec(prob.sigma_m.solve(r)))
         g_conv = np.array(
             [
-                -2.0 * np.vdot(v0, prob.dA(k).matvec(u0)).real
+                -2.0 * np.vdot(v0, dA_dm(model, k).matvec(u0)).real
                 for k in range(prob.state_dim)
             ]
         )
@@ -260,6 +262,43 @@ class TestGradient:
         prob, m = make_helmholtz_instance(seed=16)
         with pytest.raises(RejectedInputError):
             grad_phi(prob, m, variant="other")
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    def test_contraction_matches_per_k_derivative(self, boundary):
+        rng = np.random.default_rng(47)
+        n = 9
+        model = HelmholtzModel1D(n=n, h=0.1, omega=7.0, boundary=boundary)
+        prob = helmholtz_problem(
+            model,
+            [2, 6],
+            np.ones(n),
+            np.zeros(2),
+            CovarianceSpec.scaled_identity(1.0, 2),
+            CovarianceSpec.scaled_identity(1.0, n),
+        )
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = prob.dA_contract(v, w)
+        expected = [np.vdot(v, dA_dm(model, k).matrix @ w).real for k in range(n)]
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    def test_large_grid_stays_linear(self):
+        # an n x n complex array here would need 160 GB
+        from xfwi.cli import DEFAULT_CONFIG, gradient_problem
+
+        n = 100_000
+        prob, m = gradient_problem(DEFAULT_CONFIG["grad"], seed=5, n=n)
+        g = grad_phi(prob, m)
+        assert g.shape == (n,) and np.all(np.isfinite(g))
+        v = m * np.sin(5 * np.pi * np.linspace(0.0, 1.0, n))
+
+        def central(h):
+            return (
+                phi_reduced(prob, m + h * v).value - phi_reduced(prob, m - h * v).value
+            ) / (2.0 * h)
+
+        fd = (4.0 * central(0.5e-2) - central(1e-2)) / 3.0
+        assert abs(g @ v - fd) <= 1e-4 * abs(fd)
 
 
 class TestConventionalAndEquationError:
@@ -398,7 +437,7 @@ class TestVerifiers:
 
         prob = Problem(
             A_builder=lambda m: DenseOperator(M),
-            dA=lambda k: DenseOperator(np.zeros((n, n))),
+            dA_contract=lambda v, w: np.zeros(n),
             P=SamplingOperator([2, 7, 11], n),
             q=np.zeros(n),
             d=np.zeros(3),
@@ -426,7 +465,7 @@ class TestVerifiers:
         prob, m = make_helmholtz_instance(seed=46)
         big = Problem(
             A_builder=prob.A_builder,
-            dA=prob.dA,
+            dA_contract=prob.dA_contract,
             P=SamplingOperator([0], 201),
             q=np.zeros(201),
             d=np.zeros(1),

@@ -13,6 +13,7 @@ from xfwi import (
     dot_test,
     weighted_norm_sq,
 )
+from xfwi.linops import TridiagonalOperator
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -36,7 +37,7 @@ class TestApply:
         for k in (0, 3, 5):
             e = np.zeros(6)
             e[k] = 1.0
-            assert np.allclose(apply(op, e), op.matrix[:, k])
+            assert np.allclose(apply(op, e), op.to_dense()[:, k])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -60,7 +61,7 @@ class TestDotTest:
         assert dot_test(op, trials=10, seed=3) <= 1e-10
         # oracle: the adjoint of a dense matrix is its conjugate transpose
         y = np.arange(12) + 1j
-        assert np.allclose(op.rmatvec(y), op.matrix.conj().T @ y)
+        assert np.allclose(op.rmatvec(y), op.to_dense().conj().T @ y)
 
     def test_requires_at_least_one_trial(self):
         with pytest.raises(RejectedInputError):
@@ -164,3 +165,41 @@ def test_dense_operator_roundtrip():
     assert op.shape == (3, 5)
     assert np.allclose(op.to_dense(), M)
     assert dot_test(op, trials=5, seed=9) < 1e-14
+
+
+class TestTridiagonalOperator:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_solve_matches_dense(self, boundary, adjoint):
+        rng = np.random.default_rng(17)
+        n = 40
+        model = HelmholtzModel1D(n=n, h=0.05, omega=30.0, boundary=boundary)
+        op = assemble_A(model, rng.uniform(0.2, 0.4, n))
+        A = op.to_dense()
+        M = A.conj().T if adjoint else A
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        B = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        for rhs in (b, B):
+            x = op.solve(rhs, adjoint=adjoint)
+            expected = np.linalg.solve(M, rhs)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        # the cached dense LU of the base class agrees as well
+        x_dense = DenseOperator(A).solve(b, adjoint=adjoint)
+        assert np.linalg.norm(x_dense - np.linalg.solve(M, b)) <= 1e-12 * np.linalg.norm(x_dense)
+
+    def test_zero_pivot_raises(self):
+        # rows 0 and 1 coincide, so elimination leaves a zero pivot
+        op = TridiagonalOperator([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0])
+        with pytest.raises(IllConditionedError):
+            op.solve(np.ones(3))
+
+    def test_products_match_dense(self):
+        rng = np.random.default_rng(19)
+        n = 7
+        lower, upper = (rng.standard_normal((2, n - 1)) + 1j * rng.standard_normal((2, n - 1)))
+        op = TridiagonalOperator(lower, rng.standard_normal(n) + 1j, upper)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-14)
+        assert np.allclose(op.rmatvec(x), op.to_dense().conj().T @ x, rtol=1e-14)
+        assert dot_test(op, trials=5, seed=20) <= 1e-14

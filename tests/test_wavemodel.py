@@ -32,7 +32,7 @@ def line_acquisition(distances, nt, dt):
 class TestAssembly:
     def test_three_point_stencil_oracle(self):
         model = HelmholtzModel1D(n=3, h=1.0, omega=1.0, boundary="dirichlet")
-        A = assemble_A(model, [1.0, 1.0, 1.0]).matrix
+        A = assemble_A(model, [1.0, 1.0, 1.0]).to_dense()
         expected = np.array(
             [[3.0, -1.0, 0.0], [-1.0, 3.0, -1.0], [0.0, -1.0, 3.0]]
         )
@@ -42,7 +42,7 @@ class TestAssembly:
     def test_vanishing_frequency_leaves_laplacian(self):
         n, h = 5, 0.5
         model = HelmholtzModel1D(n=n, h=h, omega=1e-12, boundary="dirichlet")
-        A = assemble_A(model, np.full(n, 0.3)).matrix
+        A = assemble_A(model, np.full(n, 0.3)).to_dense()
         L = (
             2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         ) / h**2
@@ -53,11 +53,11 @@ class TestAssembly:
         model = HelmholtzModel1D(n=4, h=1.0, omega=2.0, boundary="dirichlet")
         m = np.full(4, 0.25)
         delta = 0.5
-        A0 = assemble_A(model, m).matrix
+        A0 = assemble_A(model, m).to_dense()
         for k in range(4):
             mp = m.copy()
             mp[k] += delta
-            diff = assemble_A(model, mp).matrix - A0
+            diff = assemble_A(model, mp).to_dense() - A0
             expected = np.zeros((4, 4))
             expected[k, k] = model.omega**2 * delta
             assert np.array_equal(diff, expected)
@@ -65,7 +65,7 @@ class TestAssembly:
     def test_medium_model_wrapper(self):
         model = HelmholtzModel1D(n=4, h=1.0, omega=2.0)
         m = MediumModel(np.full(4, 0.25))
-        assert np.array_equal(assemble_A(model, m).matrix, assemble_A(model, m.values).matrix)
+        assert np.array_equal(assemble_A(model, m).to_dense(), assemble_A(model, m.values).to_dense())
 
     def test_rejects_bad_medium(self):
         model = HelmholtzModel1D(n=3, h=1.0, omega=1.0)
@@ -76,10 +76,10 @@ class TestAssembly:
 
     def test_boundary_symmetry(self):
         m = np.full(8, 0.3)
-        A_d = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "dirichlet"), m).matrix
+        A_d = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "dirichlet"), m).to_dense()
         assert np.array_equal(A_d, A_d.T)
         assert np.array_equal(A_d, A_d.conj().T)
-        A_s = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "sommerfeld"), m).matrix
+        A_s = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "sommerfeld"), m).to_dense()
         assert np.array_equal(A_s, A_s.T)
         assert not np.allclose(A_s, A_s.conj().T)
 
@@ -93,11 +93,11 @@ class TestDerivative:
     def test_finite_difference_oracle(self):
         model = HelmholtzModel1D(n=5, h=1.0, omega=1.0)
         m = np.full(5, 0.3)
-        A0 = assemble_A(model, m).matrix
+        A0 = assemble_A(model, m).to_dense()
         for k in range(5):
             mp = m.copy()
             mp[k] += 1e-6
-            fd = (assemble_A(model, mp).matrix - A0) / 1e-6
+            fd = (assemble_A(model, mp).to_dense() - A0) / 1e-6
             assert np.max(np.abs(fd - dA_dm(model, k).matrix)) <= 1e-8
 
     def test_reassembly_identity(self):

@@ -7,7 +7,7 @@ with zero imaginary parts. All adjoints follow the inner product
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtcon, zgttrf, zgttrs
 
 from .errors import (
     DimensionMismatchError,
@@ -96,9 +96,9 @@ class TridiagonalOperator(LinearOperator):
     """Square operator stored by its three diagonals.
 
     ``lower[k] = A[k + 1, k]``, ``diag[k] = A[k, k]`` and
-    ``upper[k] = A[k, k + 1]``. Products cost O(n); :meth:`solve` factors
-    once with LAPACK ``gttrf`` (partial pivoting) and reuses the factor for
-    every later solve, forward or adjoint.
+    ``upper[k] = A[k, k + 1]``. Products cost O(n); the operator is factored
+    once with LAPACK ``gttrf`` (partial pivoting), and every later solve,
+    forward or adjoint, and the condition estimate reuse that factor.
     """
 
     def __init__(self, lower, diag, upper):
@@ -133,16 +133,39 @@ class TridiagonalOperator(LinearOperator):
     def to_dense(self):
         return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
 
-    def solve(self, b, adjoint=False):
+    def _lu(self):
+        """The cached ``gttrf`` factor ``(dl, d, du, du2, ipiv, info)``.
+
+        LAPACK completes the factorization even when a pivot is exactly
+        zero (``info > 0``), so the factor is kept and :meth:`solve` raises.
+        """
         if self._factor is None:
-            *factor, info = zgttrf(self.lower, self.diag, self.upper)
-            if info > 0:
-                raise IllConditionedError(
-                    f"tridiagonal operator is singular: zero pivot at row {info}"
-                )
-            self._factor = factor
-        x, _ = zgttrs(*self._factor, b, trans="C" if adjoint else "N")
+            self._factor = zgttrf(self.lower, self.diag, self.upper)
+        return self._factor
+
+    def solve(self, b, adjoint=False):
+        *factor, info = self._lu()
+        if info > 0:
+            raise IllConditionedError(
+                f"tridiagonal operator is singular: zero pivot at row {info}"
+            )
+        x, _ = zgttrs(*factor, b, trans="C" if adjoint else "N")
         return x
+
+    def condition(self):
+        """1-norm condition number, estimated in O(n) from the cached factor.
+
+        The norm of ``A`` is exact (largest column sum of the three
+        diagonals); the norm of ``A^{-1}`` is LAPACK's Hager-Higham estimate
+        (``gtcon``), which can only fall short of the true value. A zero
+        pivot gives ``inf``.
+        """
+        col = np.abs(self.diag)
+        col[1:] += np.abs(self.upper)
+        col[:-1] += np.abs(self.lower)
+        *factor, _ = self._lu()
+        rcond, _ = zgtcon(*factor, float(col.max()))
+        return np.inf if rcond == 0 else 1.0 / rcond
 
 
 class IdentityOperator(LinearOperator):
@@ -211,6 +234,17 @@ class SamplingOperator(LinearOperator):
         P = np.zeros((self.n_receivers, self.state_dim))
         P[np.arange(self.n_receivers), self.receiver_indices] = 1.0
         return P
+
+
+def check_condition(cond, what):
+    """Reject a condition number that is not below ``_COND_LIMIT``.
+
+    Raises :class:`IllConditionedError` carrying ``cond``; NaN is rejected.
+    """
+    if not cond < _COND_LIMIT:
+        raise IllConditionedError(
+            f"{what} condition {cond:.3e} exceeds {_COND_LIMIT:.0e}", condition=cond
+        )
 
 
 def apply(op, x):
@@ -331,11 +365,8 @@ class CovarianceSpec:
             if x.ndim == 1:
                 return x / self._diag
             return x / self._diag[:, None]
-        if self.cond is not None and self.cond > _COND_LIMIT:
-            raise IllConditionedError(
-                f"covariance condition {self.cond:.3e} exceeds {_COND_LIMIT:.0e}",
-                condition=self.cond,
-            )
+        if self.cond is not None:
+            check_condition(self.cond, "covariance")
         return cho_solve(self._factor, x, check_finite=False)
 
     def to_dense(self):

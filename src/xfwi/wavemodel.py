@@ -20,7 +20,6 @@ from scipy.linalg import toeplitz
 
 from .errors import (
     DimensionMismatchError,
-    IllConditionedError,
     RejectedInputError,
     SingularGeometryError,
 )
@@ -29,12 +28,14 @@ from .linops import (
     FunctionOperator,
     SamplingOperator,
     TridiagonalOperator,
+    check_condition,
 )
 
 BOUNDARY_DIRICHLET = "dirichlet"
 BOUNDARY_SOMMERFELD = "sommerfeld"
 
-# Condition numbers are skipped above this size.
+# assemble_A checks the condition number up to this size only; at n = 800
+# the estimate would add about 0.2 ms to a reduced objective of about 0.3 ms.
 _COND_CHECK_MAX_N = 600
 
 
@@ -191,17 +192,22 @@ class KernelPanels:
 # Helmholtz assembly
 
 
-def assemble_A(model, m, check_condition=True):
+def assemble_A(model, m):
     """Assemble the tridiagonal Helmholtz operator ``A(m) = L + omega^2 diag(m)``.
+
+    For ``n <= 600`` the operator is factored (LAPACK ``gttrf``) and its
+    1-norm condition number is estimated from that factor with LAPACK
+    ``gtcon`` (Hager-Higham), in O(n); an estimate that is not below 1e14
+    raises :class:`~xfwi.errors.IllConditionedError` carrying it. The
+    factor is cached on the returned operator, so later solves do not
+    factor again. Larger grids skip the check: there the estimate would
+    cost about as much as the solves of a whole reduced objective.
 
     Parameters
     ----------
     model : HelmholtzModel1D
     m : MediumModel or array
         Squared slowness per grid point, length ``model.n``.
-    check_condition : bool
-        Estimate the 1-norm condition number and reject operators beyond
-        1e14 (skipped for n > 600 where the estimate would dominate cost).
 
     Returns
     -------
@@ -220,17 +226,8 @@ def assemble_A(model, m, check_condition=True):
         for k in (0, n - 1):
             diag[k] = 1.0 / h**2 + omega**2 * v[k] - impedance
     A = TridiagonalOperator(off, diag, off)
-    if check_condition and n <= _COND_CHECK_MAX_N:
-        try:
-            # cond(A, 1) keeps the complex dtype (zero imaginary part)
-            cond = float(abs(np.linalg.cond(A.to_dense(), 1)))
-        except np.linalg.LinAlgError:
-            cond = np.inf
-        if not cond < 1e14:
-            raise IllConditionedError(
-                f"assembled operator condition {cond:.3e} exceeds 1e14",
-                condition=cond,
-            )
+    if n <= _COND_CHECK_MAX_N:
+        check_condition(A.condition(), "assembled operator")
     return A
 
 

@@ -193,6 +193,7 @@ class TestTridiagonalOperator:
         op = TridiagonalOperator([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0])
         with pytest.raises(IllConditionedError):
             op.solve(np.ones(3))
+        assert op.condition() == np.inf
 
     def test_products_match_dense(self):
         rng = np.random.default_rng(19)

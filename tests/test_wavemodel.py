@@ -16,11 +16,15 @@ from xfwi import (
     kernel_k,
     kernel_matrix,
 )
+from xfwi import linops
+from xfwi.cli import DEFAULT_CONFIG, gradient_problem
 from xfwi.errors import (
     DimensionMismatchError,
+    IllConditionedError,
     RejectedInputError,
     SingularGeometryError,
 )
+from xfwi.formulations import grad_phi, phi_reduced
 
 
 def line_acquisition(distances, nt, dt):
@@ -82,6 +86,53 @@ class TestAssembly:
         A_s = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "sommerfeld"), m).to_dense()
         assert np.array_equal(A_s, A_s.T)
         assert not np.allclose(A_s, A_s.conj().T)
+
+
+def grad_instance(n, boundary):
+    return gradient_problem(dict(DEFAULT_CONFIG["grad"], boundary=boundary), 0, n=n)
+
+
+class TestConditionCheck:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("n", [100, 200, 600])
+    def test_estimate_matches_dense_condition(self, n, boundary):
+        prob, m = grad_instance(n, boundary)
+        A = prob.A_builder(m)
+        # cond(A, 1) keeps the complex dtype (zero imaginary part)
+        exact = float(abs(np.linalg.cond(A.to_dense(), 1)))
+        assert abs(A.condition() - exact) <= 1e-8 * exact
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("n", [50, 600])
+    def test_rejects_ill_conditioned_operator(self, n, boundary):
+        # the diagonal jumps from about 2 n^2 to 1e18 at mid-grid
+        model = HelmholtzModel1D(n, h=1.0 / n, omega=1e9, boundary=boundary)
+        m = np.where(np.arange(n) < n // 2, 1e-20, 1.0)
+        with pytest.raises(IllConditionedError) as info:
+            assemble_A(model, m)
+        assert info.value.condition > 1e14
+
+    def test_production_path_never_materializes(self, monkeypatch):
+        prob, m = grad_instance(600, "sommerfeld")
+
+        def refuse(self):
+            raise AssertionError("the production path materialized A")
+
+        factorizations = []
+        real_zgttrf = linops.zgttrf
+
+        def counting_zgttrf(*args):
+            factorizations.append(args)
+            return real_zgttrf(*args)
+
+        monkeypatch.setattr(linops.TridiagonalOperator, "to_dense", refuse)
+        monkeypatch.setattr(linops, "zgttrf", counting_zgttrf)
+        prob.A_builder(m)  # assemble_A, condition check included
+        assert len(factorizations) == 1
+        phi_reduced(prob, m)
+        assert len(factorizations) == 2
+        grad_phi(prob, m)
+        assert len(factorizations) == 3
 
 
 class TestDerivative:

@@ -46,10 +46,10 @@ from .linops import (
     LinearOperator,
     SamplingOperator,
     apply,
+    dense_spd_solve,
     dot_test,
     weighted_norm_sq,
 )
-from .solvers import SolveReport, cg, dense_spd_solve, lsqr
 from .toy import (
     ExtendedSourceResult,
     ScanResult,

@@ -1,4 +1,5 @@
-"""Matrix-free linear operators with adjoints, plus covariance weights.
+"""Matrix-free linear operators with adjoints, covariance weights and the
+dense Hermitian positive definite solve.
 
 The scalar field is complex throughout; real problems are the special case
 with zero imaginary parts. All adjoints follow the inner product
@@ -247,6 +248,45 @@ def check_condition(cond, what):
         )
 
 
+def _check_hermitian(M, what):
+    """Reject ``M`` unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``.
+
+    The test is written so that NaN passes nothing: any non-finite entry
+    makes the asymmetry NaN and is rejected too.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        asym = np.linalg.norm(M - M.conj().T)
+    if not asym <= _HERMITIAN_RTOL * (np.linalg.norm(M) + 1e-300):
+        raise NotPositiveDefiniteError(
+            f"{what} is not finite and Hermitian to {_HERMITIAN_RTOL:.0e}"
+        )
+
+
+def dense_spd_solve(M, b):
+    """Cholesky solve of a Hermitian positive definite system.
+
+    Accepts vector or matrix right-hand sides. The residual satisfies
+    ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
+    the factorization.
+    """
+    M = np.asarray(M)
+    b = np.asarray(b)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise RejectedInputError("matrix must be square")
+    if b.shape[0] != M.shape[0]:
+        raise DimensionMismatchError(
+            f"rhs leading dim {b.shape[0]} does not match matrix dim {M.shape[0]}"
+        )
+    _check_hermitian(M, "matrix")
+    try:
+        factor = cho_factor(M, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"Cholesky factorization failed: {exc}"
+        ) from exc
+    return cho_solve(factor, b, check_finite=False)
+
+
 def apply(op, x):
     """Apply ``op`` to ``x`` after validating the domain dimension."""
     x = np.asarray(x)
@@ -326,9 +366,7 @@ class CovarianceSpec:
         M = np.asarray(matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise RejectedInputError("dense covariance must be square")
-        scale = np.linalg.norm(M)
-        if np.linalg.norm(M - M.conj().T) > _HERMITIAN_RTOL * scale:
-            raise NotPositiveDefiniteError("dense covariance is not Hermitian")
+        _check_hermitian(M, "dense covariance")
         M = 0.5 * (M + M.conj().T)
         eigs = np.linalg.eigvalsh(M)
         if eigs.min() <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .solvers import dense_spd_solve
+from .linops import dense_spd_solve
 from .wavemodel import Acquisition, Dataset, dense_forward_matrix, forward_F
 
 REGIMES = ("conventional", "extended", "general")

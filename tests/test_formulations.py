@@ -82,11 +82,14 @@ class TestSolveState:
         u = solve_state(prob, np.full(n, 0.3))
         assert np.linalg.norm(prob.P.matvec(u) - d) <= 1e-4 * np.linalg.norm(d)
 
-    def test_cg_branch_matches_dense(self):
-        prob, m = make_helmholtz_instance(seed=4, cov_kind="scaled")
-        u_dense = solve_state(prob, m, method="dense")
-        u_cg = solve_state(prob, m, method="cg")
-        assert np.linalg.norm(u_cg - u_dense) <= 1e-7 * np.linalg.norm(u_dense)
+    def test_equivalence_gap_at_n2048(self):
+        # the dense Cholesky state solve still meets the 1e-9 gap above n = 2000
+        from xfwi.cli import DEFAULT_CONFIG, gradient_problem
+
+        prob, m = gradient_problem(DEFAULT_CONFIG["grad"], 3, n=2048)
+        pj = phi_joint(prob, m).value
+        pr = phi_reduced(prob, m).value
+        assert abs(pj - pr) <= 1e-9 * (1.0 + pj)
 
 
 class TestJointAndReduced:

@@ -147,6 +147,11 @@ class TestCovarianceSpec:
         with pytest.raises(NotPositiveDefiniteError):
             CovarianceSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dense_rejects_non_finite(self, bad):
+        with pytest.raises(NotPositiveDefiniteError):
+            CovarianceSpec.dense(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_singular_to_tolerance_dense(self):
         cov = CovarianceSpec.dense(np.diag([1.0, 1e-15]))
         with pytest.raises(IllConditionedError):

@@ -42,10 +42,8 @@ from .linops import (
     CovarianceSpec,
     DenseOperator,
     FunctionOperator,
-    IdentityOperator,
     LinearOperator,
     SamplingOperator,
-    apply,
     dense_spd_solve,
     dot_test,
     weighted_norm_sq,
@@ -66,13 +64,10 @@ from .wavemodel import (
     Dataset,
     HelmholtzModel1D,
     KernelPanels,
-    MediumModel,
     adjoint_F,
     assemble_A,
-    dA_dm,
     dense_forward_matrix,
     forward_F,
     forward_operator,
     kernel_k,
-    kernel_matrix,
 )

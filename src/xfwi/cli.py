@@ -233,10 +233,13 @@ def gradient_problem(settings, seed, n=None):
     gradient vanishes.
     """
     rng = np.random.default_rng(seed)
-    n = int(settings["n"]) if n is None else int(n)
-    model = HelmholtzModel1D(
-        n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
-    )
+    try:
+        n = int(settings["n"]) if n is None else int(n)
+        model = HelmholtzModel1D(
+            n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
+        )
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"grad: {exc}") from exc
     receivers = [n // 6, n // 2, (5 * n) // 6]
     x = np.linspace(0.0, 1.0, n)
     bump = np.exp(-((x - 0.5) ** 2) / 0.1)
@@ -320,20 +323,24 @@ def cmd_grad_check(args):
 
 
 def _toy_config(cfg):
+    """The toy section as a ToyConfig; a value it rejects is a config error."""
     t = cfg["toy"]
-    return ToyConfig(
-        c_true=float(t["c_true"]),
-        receiver_distances=tuple(t["receiver_distances"]),
-        nt=int(t["nt"]),
-        dt=float(t["dt"]),
-        wavelet=t["wavelet"],
-        f0=float(t["f0"]),
-        t0=float(t["t0"]),
-        sigma_m=float(t["sigma_m"]),
-        sigma_p=float(t["sigma_p"]),
-        scan=tuple(t["scan"]),
-        floor=float(t["floor"]),
-    )
+    try:
+        return ToyConfig(
+            c_true=float(t["c_true"]),
+            receiver_distances=tuple(t["receiver_distances"]),
+            nt=int(t["nt"]),
+            dt=float(t["dt"]),
+            wavelet=t["wavelet"],
+            f0=float(t["f0"]),
+            t0=float(t["t0"]),
+            sigma_m=float(t["sigma_m"]),
+            sigma_p=float(t["sigma_p"]),
+            scan=tuple(t["scan"]),
+            floor=float(t["floor"]),
+        )
+    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+        raise ConfigError(f"toy: {exc}") from exc
 
 
 def cmd_kernel(args):
@@ -486,12 +493,12 @@ def build_parser():
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--out", default="xfwi_out", help="output directory")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument(
-            "--regime",
-            choices=["conventional", "extended", "general"],
-            default="extended",
-        )
         if name == "extsrc":
+            p.add_argument(
+                "--regime",
+                choices=["conventional", "extended", "general"],
+                default="extended",
+            )
             p.add_argument(
                 "--c",
                 type=float,

@@ -95,7 +95,6 @@ class ObjectiveReport:
     value: float
     residual: np.ndarray
     weighted_residual: np.ndarray
-    gradient: np.ndarray | None = None
 
 
 @dataclass
@@ -424,10 +423,10 @@ def grad_phi(prob, m, variant="adjoint"):
     return -2.0 * prob.dA_contract(u0, v0) + 2.0 * prob.dA_contract(v0, w0)
 
 
-def fd_gradient(prob, m, rel_step=1e-4, richardson=True):
+def fd_gradient(prob, m, rel_step=1e-4):
     """Central finite differences of the reduced objective, per component.
 
-    The step is scaled per component; with ``richardson`` the two-step
+    The step is scaled per component, and the two-step Richardson
     extrapolation ``(4 g(h/2) - g(h)) / 3`` cancels the leading truncation
     term, which the verification harness relies on.
     """
@@ -446,10 +445,7 @@ def fd_gradient(prob, m, rel_step=1e-4, richardson=True):
     g = np.empty(len(v))
     for k in range(len(v)):
         step = rel_step * (abs(v[k]) + 1e-2)
-        if richardson:
-            g[k] = (4.0 * central(k, step / 2.0) - central(k, step)) / 3.0
-        else:
-            g[k] = central(k, step)
+        g[k] = (4.0 * central(k, step / 2.0) - central(k, step)) / 3.0
     return g
 
 

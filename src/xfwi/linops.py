@@ -31,7 +31,6 @@ class LinearOperator:
     def __init__(self, range_dim, domain_dim):
         self.range_dim = int(range_dim)
         self.domain_dim = int(domain_dim)
-        self._factor = None
 
     @property
     def shape(self):
@@ -53,19 +52,6 @@ class LinearOperator:
             e[k] = 0.0
         return out
 
-    def solve(self, b, adjoint=False):
-        """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
-
-        The dense LU of :meth:`to_dense` is computed on the first call and
-        cached. ``b`` may hold one right-hand side per column.
-        """
-        if self._factor is None:
-            lu, piv = lu_factor(self.to_dense(), check_finite=False)
-            if np.any(np.diagonal(lu) == 0):
-                raise IllConditionedError("operator is singular: zero pivot in its LU")
-            self._factor = (lu, piv)
-        return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
-
     def __matmul__(self, x):
         return self.matvec(x)
 
@@ -80,6 +66,7 @@ class DenseOperator(LinearOperator):
         super().__init__(matrix.shape[0], matrix.shape[1])
         self.matrix = matrix
         self._adjoint = None
+        self._factor = None
 
     def matvec(self, x):
         return self.matrix @ x
@@ -91,6 +78,19 @@ class DenseOperator(LinearOperator):
 
     def to_dense(self):
         return self.matrix
+
+    def solve(self, b, adjoint=False):
+        """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
+
+        The LU of the matrix is computed on the first call and cached.
+        ``b`` may hold one right-hand side per column.
+        """
+        if self._factor is None:
+            lu, piv = lu_factor(self.matrix, check_finite=False)
+            if np.any(np.diagonal(lu) == 0):
+                raise IllConditionedError("operator is singular: zero pivot in its LU")
+            self._factor = (lu, piv)
+        return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
 
 
 class TridiagonalOperator(LinearOperator):
@@ -116,6 +116,7 @@ class TridiagonalOperator(LinearOperator):
         self.lower = lower
         self.diag = diag
         self.upper = upper
+        self._factor = None
 
     def matvec(self, x):
         x = np.asarray(x)
@@ -167,17 +168,6 @@ class TridiagonalOperator(LinearOperator):
         *factor, _ = self._lu()
         rcond, _ = zgtcon(*factor, float(col.max()))
         return np.inf if rcond == 0 else 1.0 / rcond
-
-
-class IdentityOperator(LinearOperator):
-    def __init__(self, dim):
-        super().__init__(dim, dim)
-
-    def matvec(self, x):
-        return np.asarray(x)
-
-    def rmatvec(self, y):
-        return np.asarray(y)
 
 
 class FunctionOperator(LinearOperator):
@@ -285,16 +275,6 @@ def dense_spd_solve(M, b):
             f"Cholesky factorization failed: {exc}"
         ) from exc
     return cho_solve(factor, b, check_finite=False)
-
-
-def apply(op, x):
-    """Apply ``op`` to ``x`` after validating the domain dimension."""
-    x = np.asarray(x)
-    if x.ndim != 1 or len(x) != op.domain_dim:
-        raise DimensionMismatchError(
-            f"operator domain is {op.domain_dim}, got vector of shape {x.shape}"
-        )
-    return op.matvec(x)
 
 
 def dot_test(op, trials=10, seed=0):

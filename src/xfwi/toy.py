@@ -200,10 +200,6 @@ class ScanResult:
             return float("nan")
         return float(self.c_values[int(np.nanargmin(self.phi_raw))])
 
-    @property
-    def n_ok(self):
-        return sum(1 for s in self.status if s == "ok")
-
 
 def scan_objective(cfg, regime):
     """Evaluate the objective over the configured velocity grid.

@@ -13,7 +13,7 @@ without ad-hoc kernels. Traces are windowed back to the original record
 length; the 2x padding keeps the convolution linear rather than circular.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -26,7 +26,6 @@ from .errors import (
 from .linops import (
     DenseOperator,
     FunctionOperator,
-    SamplingOperator,
     TridiagonalOperator,
     check_condition,
 )
@@ -82,26 +81,8 @@ class HelmholtzModel1D:
             raise RejectedInputError("boundary_m0 must be positive")
 
 
-@dataclass(frozen=True)
-class MediumModel:
-    """Medium parameters: squared slowness (s^2/km^2) on the grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise RejectedInputError("medium values must be finite and > 0")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def medium_values(m):
-    """Accept a MediumModel or a raw array of squared slowness."""
-    if isinstance(m, MediumModel):
-        return m.values
+    """Squared slowness (s^2/km^2) on the grid as a checked float array."""
     v = np.asarray(m, dtype=float)
     if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0):
         raise RejectedInputError("medium values must be finite and > 0")
@@ -113,15 +94,13 @@ class Acquisition:
     """Source/receiver geometry and the time grid.
 
     Positions are in km; the analytic propagator only uses the Euclidean
-    source-receiver distances. ``sampling`` carries the grid selection
-    operator for grid-based models and is unused by the analytic one.
+    source-receiver distances.
     """
 
     source_position: np.ndarray
     receiver_positions: np.ndarray
     nt: int
     dt: float
-    sampling: SamplingOperator | None = None
 
     def __post_init__(self):
         src = np.atleast_1d(np.asarray(self.source_position, dtype=float))
@@ -148,9 +127,6 @@ class Acquisition:
     def distances(self):
         return np.linalg.norm(self.receiver_positions - self.source_position, axis=1)
 
-    def times(self):
-        return np.arange(self.nt) * self.dt
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -169,9 +145,6 @@ class Dataset:
     @property
     def nt(self):
         return self.values.shape[1]
-
-    def ravel(self):
-        return self.values.ravel()
 
 
 @dataclass(frozen=True)
@@ -206,7 +179,7 @@ def assemble_A(model, m):
     Parameters
     ----------
     model : HelmholtzModel1D
-    m : MediumModel or array
+    m : array
         Squared slowness per grid point, length ``model.n``.
 
     Returns
@@ -234,8 +207,8 @@ def assemble_A(model, m):
 def dA_dm(model, k):
     """Derivative of the assembled operator w.r.t. ``m_k``: ``omega^2 e_k e_k^T``.
 
-    A dense per-k reference; the gradient contracts all k at once instead
-    (``Problem.dA_contract``).
+    A dense per-k reference for the tests; the gradient contracts all k at
+    once instead (``Problem.dA_contract``).
     """
     if not 0 <= k < model.n:
         raise RejectedInputError(f"index {k} out of range for n = {model.n}")
@@ -367,13 +340,6 @@ def dense_forward_matrix(c, acq):
         ker = np.fft.ifft(phases[i]).real
         F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
     return F
-
-
-def kernel_matrix(c, acq):
-    """Dense correlation kernel ``K = F F^T`` on flattened traces."""
-    F = dense_forward_matrix(c, acq)
-    K = F @ F.T
-    return 0.5 * (K + K.T)
 
 
 def kernel_k(c, acq):

@@ -29,7 +29,6 @@ from xfwi import (
     ToyConfig,
     acquisition,
     assemble_A,
-    dA_dm,
     dot_test,
     estimate_extended_source,
     fd_gradient,
@@ -56,7 +55,7 @@ from xfwi.cli import (
     make_equiv_instances,
     random_covariance,
 )
-from xfwi.wavemodel import dense_forward_matrix
+from xfwi.wavemodel import dA_dm, dense_forward_matrix
 
 
 def report(criterion, ok, detail):

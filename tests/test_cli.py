@@ -54,6 +54,28 @@ class TestConfigHandling:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, regime", [("scan", "general"), ("equiv-check", "extended")]
+    )
+    def test_regime_only_on_extsrc(self, tmp_path, command, regime):
+        out = str(tmp_path / "o")
+        assert main([command, "--regime", regime, "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("scan", {"toy": {"nt": 1}}),
+            ("scan", {"toy": {"nt": "abc"}}),
+            ("grad-check", {"grad": {"n": 2}}),
+            ("grad-check", {"grad": {"n": 0}}),
+        ],
+        ids=["toy-nt-1", "toy-nt-abc", "grad-n-2", "grad-n-0"],
+    )
+    def test_rejected_config_value(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestEquivCheck:
     def test_small_run_passes(self, tmp_path):

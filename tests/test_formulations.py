@@ -6,11 +6,9 @@ from xfwi import (
     CovarianceSpec,
     DenseOperator,
     HelmholtzModel1D,
-    IdentityOperator,
     Problem,
     SamplingOperator,
     assemble_A,
-    dA_dm,
     fd_gradient,
     grad_phi,
     helmholtz_problem,
@@ -28,11 +26,12 @@ from xfwi import (
     verify_matrix_identity,
 )
 from xfwi.errors import RejectedInputError, UnsupportedGeometryError
+from xfwi.wavemodel import dA_dm
 
 
 def identity_problem(n, receivers, q, d, sigma_m, sigma_p):
     return Problem(
-        A_builder=lambda m: IdentityOperator(n),
+        A_builder=lambda m: DenseOperator(np.eye(n)),
         dA_contract=lambda v, w: np.zeros(n),
         P=SamplingOperator(receivers, n),
         q=q,

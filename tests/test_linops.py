@@ -6,9 +6,7 @@ from xfwi import (
     DenseOperator,
     FunctionOperator,
     HelmholtzModel1D,
-    IdentityOperator,
     SamplingOperator,
-    apply,
     assemble_A,
     dot_test,
     weighted_norm_sq,
@@ -23,12 +21,9 @@ from xfwi.errors import (
 
 
 class TestApply:
-    def test_identity(self):
-        assert np.array_equal(apply(IdentityOperator(3), [1.0, 2.0, 3.0]), [1, 2, 3])
-
     def test_sampling_selects(self):
         P = SamplingOperator([2], state_dim=3)
-        assert np.array_equal(apply(P, [5.0, 7.0, 9.0]), [9.0])
+        assert np.array_equal(P.matvec([5.0, 7.0, 9.0]), [9.0])
 
     def test_dense_column_matches_matrix(self):
         model = HelmholtzModel1D(n=6, h=0.1, omega=5.0)
@@ -37,16 +32,12 @@ class TestApply:
         for k in (0, 3, 5):
             e = np.zeros(6)
             e[k] = 1.0
-            assert np.allclose(apply(op, e), op.to_dense()[:, k])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(IdentityOperator(3), [1.0, 2.0])
+            assert np.allclose(op.matvec(e), op.to_dense()[:, k])
 
 
 class TestDotTest:
     def test_identity_is_exact(self):
-        assert dot_test(IdentityOperator(5), trials=3, seed=0) < 1e-15
+        assert dot_test(DenseOperator(np.eye(5)), trials=3, seed=0) < 1e-15
 
     def test_detects_missing_conjugate(self):
         rng = np.random.default_rng(1)
@@ -65,7 +56,7 @@ class TestDotTest:
 
     def test_requires_at_least_one_trial(self):
         with pytest.raises(RejectedInputError):
-            dot_test(IdentityOperator(2), trials=0)
+            dot_test(DenseOperator(np.eye(2)), trials=0)
 
 
 class TestSamplingOperator:

@@ -8,11 +8,9 @@ from xfwi import (
     DegenerateWeightsError,
     ToyConfig,
     acquisition,
-    adjoint_F,
     estimate_extended_source,
     forward_F,
     half_max_basin_width,
-    kernel_matrix,
     make_wavelet,
     scan_objective,
     synthesize_data,
@@ -140,21 +138,6 @@ def test_half_max_width_synthetic():
     c = np.linspace(0.0, 1.0, 11)
     phi = np.abs(c - 0.5) * 2.0  # half max at 0.25 and 0.75
     assert half_max_basin_width(c, phi) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_kernel_matrix_matches_round_trip(small_toy_config):
-    cfg = small_toy_config
-    acq = acquisition(cfg)
-    K = kernel_matrix(1.9, acq)
-    rng = np.random.default_rng(2)
-    dim = K.shape[0]
-    for k in rng.integers(0, dim, size=4):
-        e = np.zeros(dim)
-        e[k] = 1.0
-        col = forward_F(
-            1.9, acq, adjoint_F(1.9, acq, e.reshape(3, cfg.nt))
-        ).values.ravel()
-        assert np.linalg.norm(K[:, k] - col) <= 1e-10 * max(1.0, np.linalg.norm(col))
 
 
 # ---------------------------------------------------------------------------

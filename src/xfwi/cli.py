@@ -27,7 +27,7 @@ from .formulations import (
     verify_equivalence,
     verify_matrix_identity,
 )
-from .linops import CovarianceSpec
+from .linops import CovarianceSpec, SamplingOperator
 from .toy import (
     ToyConfig,
     acquisition,
@@ -107,6 +107,8 @@ def load_config(path):
                 raise ConfigError(f"unknown key {section}.{key}")
             merged[section][key] = val
     _validate_weights(merged)
+    _check_equiv(merged["equiv"])
+    _check_grad(merged["grad"])
     return merged, _digest_bytes(raw)
 
 
@@ -123,6 +125,50 @@ def _validate_weights(cfg):
         sec = cfg[section]
         if sec["sigma_m"] == 0 and sec["sigma_p"] == 0:
             raise ConfigError("degenerate weights: sigma_m and sigma_p are both zero")
+
+
+def _check_choice(section, sec, key, allowed):
+    if sec[key] not in allowed:
+        raise ConfigError(f"{section}.{key} must be one of {allowed}, got {sec[key]!r}")
+
+
+def _check_equiv(sec):
+    """Reject an equiv section the suite cannot run, before any output."""
+    try:
+        n = int(sec["n"])
+        HelmholtzModel1D(
+            n=n, h=float(sec["h"]), omega=float(sec["omega"]), boundary=sec["boundary"]
+        )
+        SamplingOperator([int(i) for i in sec["receivers"]], n)
+        instances = int(sec["instances"])
+        m_min, m_max = float(sec["m_min"]), float(sec["m_max"])
+        for key in ("sigma_m", "sigma_p"):
+            float(sec[key])
+    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+        raise ConfigError(f"equiv: {exc}") from exc
+    if instances < 1:
+        raise ConfigError(f"equiv.instances must be at least 1, got {instances}")
+    if not 0 < m_min <= m_max:
+        raise ConfigError(f"equiv: need 0 < m_min <= m_max, got {m_min}, {m_max}")
+    for key in ("sigma_m_kind", "sigma_p_kind"):
+        _check_choice("equiv", sec, key, COVARIANCE_KINDS)
+    _check_choice("equiv", sec, "data", ("random", "consistent"))
+
+
+def _check_grad(sec):
+    """Reject a grad section the check cannot run, before any output."""
+    try:
+        n = int(sec["n"])
+        HelmholtzModel1D(
+            n=n, h=1.0 / n, omega=float(sec["omega"]), boundary=sec["boundary"]
+        )
+        positive = {key: float(sec[key]) for key in ("sigma_m_rel", "fd_step")}
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"grad: {exc}") from exc
+    for key, value in positive.items():
+        if not (value > 0 and np.isfinite(value)):
+            raise ConfigError(f"grad.{key} must be positive and finite, got {value}")
+    _check_choice("grad", sec, "data", ("perturbed", "consistent"))
 
 
 @dataclass
@@ -182,6 +228,9 @@ def write_csv(path, header, rows):
 # instance builders (shared with the test suite)
 
 
+COVARIANCE_KINDS = ("scaled", "diagonal", "dense")
+
+
 def random_covariance(kind, dim, scale, rng):
     """Random SPD weight of the requested kind at the requested scale."""
     if kind == "scaled":
@@ -233,13 +282,10 @@ def gradient_problem(settings, seed, n=None):
     gradient vanishes.
     """
     rng = np.random.default_rng(seed)
-    try:
-        n = int(settings["n"]) if n is None else int(n)
-        model = HelmholtzModel1D(
-            n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
-        )
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"grad: {exc}") from exc
+    n = int(settings["n"]) if n is None else int(n)
+    model = HelmholtzModel1D(
+        n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
+    )
     receivers = [n // 6, n // 2, (5 * n) // 6]
     x = np.linspace(0.0, 1.0, n)
     bump = np.exp(-((x - 0.5) ** 2) / 0.1)
@@ -263,9 +309,7 @@ def gradient_problem(settings, seed, n=None):
 # commands
 
 
-def cmd_equiv_check(args):
-    cfg, digest = load_config(args.config)
-    out, manifest = _start_manifest("equiv-check", args, digest)
+def cmd_equiv_check(args, cfg, out, manifest):
     rows = []
     worst = 0.0
     for instance_id, prob, m in make_equiv_instances(cfg["equiv"], args.seed):
@@ -281,14 +325,11 @@ def cmd_equiv_check(args):
     )
     ok = worst <= 1e-9
     manifest.status = "ok" if ok else "failed"
-    _write_manifest(out, manifest)
     print(f"equiv-check: {len(rows)} instances, worst rel gap {worst:.3e}")
     return 0 if ok else 1
 
 
-def cmd_grad_check(args):
-    cfg, digest = load_config(args.config)
-    out, manifest = _start_manifest("grad-check", args, digest)
+def cmd_grad_check(args, cfg, out, manifest):
     prob, m = gradient_problem(cfg["grad"], args.seed)
     analytic = grad_phi(prob, m)
     fd = fd_gradient(prob, m, rel_step=float(cfg["grad"]["fd_step"]))
@@ -314,7 +355,6 @@ def cmd_grad_check(args):
     )
     ok = bool(np.all(rel <= 1e-4))
     manifest.status = "ok" if ok else "failed"
-    _write_manifest(out, manifest)
     print(
         f"grad-check: n={len(analytic)}, max rel err {rel.max():.3e}, "
         f"paper-variant max rel err {rel_paper.max():.3e}"
@@ -343,9 +383,7 @@ def _toy_config(cfg):
         raise ConfigError(f"toy: {exc}") from exc
 
 
-def cmd_kernel(args):
-    cfg, digest = load_config(args.config)
-    out, manifest = _start_manifest("kernel", args, digest)
+def cmd_kernel(args, cfg, out, manifest):
     toy_cfg = _toy_config(cfg)
     acq = acquisition(toy_cfg)
     panels = kernel_k(toy_cfg.c_true, acq)
@@ -371,14 +409,11 @@ def cmd_kernel(args):
         peak_rows,
     )
     manifest.status = "ok" if ok else "failed"
-    _write_manifest(out, manifest)
     print(f"kernel: {len(peak_rows)} panels written")
     return 0 if ok else 1
 
 
-def cmd_scan(args):
-    cfg, digest = load_config(args.config)
-    out, manifest = _start_manifest("scan", args, digest)
+def cmd_scan(args, cfg, out, manifest):
     toy_cfg = _toy_config(cfg)
     conv = scan_objective(toy_cfg, "conventional")
     ext = scan_objective(toy_cfg, "extended")
@@ -427,7 +462,6 @@ def cmd_scan(args):
     )
     ok = summary["points_ok"] >= 0.95 * summary["points_total"]
     manifest.status = "ok" if ok else "failed"
-    _write_manifest(out, manifest)
     print(
         f"scan: argmin conventional {conv.argmin_c}, extended {ext.argmin_c}; "
         f"basins {summary['basin_width_half_max']}"
@@ -435,9 +469,7 @@ def cmd_scan(args):
     return 0 if ok else 1
 
 
-def cmd_extsrc(args):
-    cfg, digest = load_config(args.config)
-    out, manifest = _start_manifest("extsrc", args, digest)
+def cmd_extsrc(args, cfg, out, manifest):
     toy_cfg = _toy_config(cfg)
     times = np.arange(toy_cfg.nt) * toy_cfg.dt
     q = make_wavelet(toy_cfg)
@@ -471,7 +503,6 @@ def cmd_extsrc(args):
             f"|f|/|q| {res.extension_ratio:.3e}"
         )
     manifest.status = "ok"
-    _write_manifest(out, manifest)
     return 0
 
 
@@ -515,8 +546,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    run = None
     try:
-        return args.func(args)
+        cfg, digest = load_config(args.config)
+        run = _start_manifest(args.command, args, digest)
+        return args.func(args, cfg, *run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -526,6 +560,13 @@ def main(argv=None):
     except XfwiError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # A command sets its final status; one that raised is recorded as such.
+        if run is not None:
+            out, manifest = run
+            if manifest.status == "running":
+                manifest.status = "error"
+            _write_manifest(out, manifest)
 
 
 if __name__ == "__main__":

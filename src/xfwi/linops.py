@@ -252,6 +252,25 @@ def _check_hermitian(M, what):
         )
 
 
+def _spd_factor(M, what):
+    """Cholesky factor of a Hermitian positive definite matrix, for ``cho_solve``.
+
+    Rejects a non-square ``M``, and raises :class:`NotPositiveDefiniteError`
+    when ``M`` is not finite and Hermitian (see :func:`_check_hermitian`) or
+    not positive definite.
+    """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise RejectedInputError(f"{what} must be square")
+    _check_hermitian(M, what)
+    try:
+        return cho_factor(M, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(
+            f"Cholesky factorization of the {what} failed: {exc}"
+        ) from exc
+
+
 def dense_spd_solve(M, b):
     """Cholesky solve of a Hermitian positive definite system.
 
@@ -259,21 +278,13 @@ def dense_spd_solve(M, b):
     ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
     the factorization.
     """
-    M = np.asarray(M)
+    factor = _spd_factor(M, "matrix")
     b = np.asarray(b)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise RejectedInputError("matrix must be square")
-    if b.shape[0] != M.shape[0]:
+    n = factor[0].shape[0]
+    if b.shape[0] != n:
         raise DimensionMismatchError(
-            f"rhs leading dim {b.shape[0]} does not match matrix dim {M.shape[0]}"
+            f"rhs leading dim {b.shape[0]} does not match matrix dim {n}"
         )
-    _check_hermitian(M, "matrix")
-    try:
-        factor = cho_factor(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(
-            f"Cholesky factorization failed: {exc}"
-        ) from exc
     return cho_solve(factor, b, check_finite=False)
 
 

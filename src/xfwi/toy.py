@@ -15,10 +15,12 @@ every solve stays well posed.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpocon
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .linops import dense_spd_solve
-from .wavemodel import Acquisition, Dataset, dense_forward_matrix, forward_F
+from .linops import _spd_factor, check_condition
+from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
 
 REGIMES = ("conventional", "extended", "general")
 
@@ -113,23 +115,45 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     ``min_f ||F f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` with ``F = F(c)``,
     an ``nt x nt`` problem rather than an ``(n_rec nt) x (n_rec nt)`` one. Its
     minimizer is ``f = -f_hat`` with
-    ``(F^T F + (sigma_m / sigma_p)^2 I) f_hat = F^T r``, solved by dense
-    Cholesky. The objective is evaluated at the computed minimizer, where it
+    ``(F^T F + lam I) f_hat = F^T r``, ``lam = (sigma_m / sigma_p)^2``, solved
+    by dense Cholesky of the Toeplitz-structured ``F^T F``
+    (``wavemodel._normal_matrix``); F itself is only applied, never formed.
+    One corrected semi-normal equations step (Bjorck, BIT 27, 1987),
+    ``f_hat += (F^T F + lam I)^{-1} (F^T (r - F f_hat) - lam f_hat)`` from the
+    same factor, recovers the digits the normal equations lose in the floored
+    regimes. The objective is evaluated at the computed minimizer, where it
     is stationary, so solve errors enter only to second order.
 
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
-    undefined and raises DegenerateWeightsError.
+    undefined and raises DegenerateWeightsError. A normal matrix whose
+    condition reaches the library limit raises IllConditionedError.
     """
     if sigma_m == 0.0:
         raise DegenerateWeightsError("sigma_m is zero; the misfit is undefined")
     if sigma_p == 0.0:
         return float(r @ r) / sigma_m**2, np.zeros(acq.nt)
-    F = dense_forward_matrix(c, acq)
-    normal = F.T @ F
-    normal[np.diag_indices_from(normal)] += (sigma_m / sigma_p) ** 2
-    f_hat = dense_spd_solve(normal, F.T @ r)
-    misfit = r - F @ f_hat
+    lam = (sigma_m / sigma_p) ** 2
+    normal = _normal_matrix(c, acq)
+    normal[np.diag_indices_from(normal)] += lam
+    norm_1 = np.linalg.norm(normal, 1)
+    factor = _spd_factor(normal, "toy normal matrix")
+    # The accuracy of the normal equations is set by cond_2(F^T F + lam I).
+    # Two upper bounds on it: ||F^T F|| <= sum_i r_i^-2, since receiver block
+    # i of F crops a circulant whose symbol has modulus at most 1 / r_i; and
+    # cond_1, which bounds cond_2 of a symmetric matrix and which LAPACK
+    # estimates from the factor in O(nt^2). The first alone would refuse
+    # well-conditioned F at tiny lam, the second alone overstates cond_2.
+    bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
+    rcond, _ = dpocon(factor[0], norm_1, uplo="L")
+    cond = bound if rcond == 0 else min(bound, 1.0 / rcond)
+    check_condition(cond, "toy normal matrix")
+    shape = (acq.n_receivers, acq.nt)
+    f_hat = cho_solve(factor, adjoint_F(c, acq, r.reshape(shape)), check_finite=False)
+    misfit = r - forward_F(c, acq, f_hat).values.ravel()
+    correction = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
+    f_hat += cho_solve(factor, correction, check_finite=False)
+    misfit = r - forward_F(c, acq, f_hat).values.ravel()
     phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
     return phi, -f_hat
 

@@ -233,6 +233,39 @@ def _phase_factors(c, acq):
     return np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None], N
 
 
+# Rows of the displacement term formed per matrix product in _normal_matrix.
+_GRAM_BLOCK = 64
+
+
+def _normal_matrix(c, acq):
+    """``F^T F`` for the propagator ``F`` at velocity ``c``, in O(nt^2), without F.
+
+    Receiver block ``T_i`` of F is Toeplitz, ``T_i[j, k] = t_i(j - k)`` with
+    generator ``t_i = ifft(phase_i).real`` on the padded circle, so
+    ``G = sum_i T_i^T T_i`` obeys the displacement recurrence
+    ``G[j+1, k+1] = G[j, k] + E[j, k]`` with
+    ``E = sum_i (u_i u_i^T - v_i v_i^T)``, ``u_i(l) = t_i(-1-l)`` and
+    ``v_i(l) = t_i(nt-1-l)`` (Kailath & Sayed, SIAM Rev. 37, 1995). The first
+    row is ``F^T F e_0``; every later row is the previous one shifted right
+    plus a row of E, whose rows are formed a block at a time.
+    """
+    _check_forward_inputs(c, acq)
+    phases, _ = _phase_factors(c, acq)
+    nt = acq.nt
+    t = np.fft.ifft(phases, axis=1).real
+    G = np.empty((nt, nt))
+    G[0] = _shift_gather(c, acq, t[:, :nt])  # F^T applied to F e_0 = t[:, :nt]
+    G[1:, 0] = G[0, 1:]
+    uv = np.vstack([t[:, : nt - 1 : -1], t[:, nt - 1 :: -1]])  # rows u_i, then v_i
+    signed = np.vstack([uv[: acq.n_receivers], -uv[acq.n_receivers :]])[:, : nt - 1]
+    for j0 in range(0, nt - 1, _GRAM_BLOCK):
+        j1 = min(j0 + _GRAM_BLOCK, nt - 1)
+        E = uv[:, j0:j1].T @ signed
+        for j in range(j0, j1):
+            np.add(G[j, :-1], E[j - j0], out=G[j + 1, 1:])
+    return G
+
+
 def _check_forward_inputs(c, acq):
     if not (np.isfinite(c) and c > 0):
         raise RejectedInputError(f"velocity must be positive, got {c}")
@@ -329,7 +362,9 @@ def dense_forward_matrix(c, acq):
     Each receiver block is the leading ``nt x nt`` crop of the circulant
     delay kernel on the padded grid, so assembly costs one FFT per receiver
     instead of one per column. Identical to applying :func:`forward_F` to
-    basis vectors, to roundoff.
+    basis vectors, to roundoff. It has no production caller: the toy applies
+    F matrix-free and builds ``F^T F`` with ``_normal_matrix``; this dense
+    form is the tests' oracle for both and for the adjoint dot test.
     """
     _check_forward_inputs(c, acq)
     phases, N = _phase_factors(c, acq)

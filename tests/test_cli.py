@@ -68,13 +68,49 @@ class TestConfigHandling:
             ("scan", {"toy": {"nt": "abc"}}),
             ("grad-check", {"grad": {"n": 2}}),
             ("grad-check", {"grad": {"n": 0}}),
+            ("equiv-check", {"equiv": {"n": 2}}),
+            ("equiv-check", {"equiv": {"receivers": [30]}}),
+            ("equiv-check", {"equiv": {"instances": "x"}}),
+            ("grad-check", {"grad": {"sigma_m_rel": "x"}}),
+            ("grad-check", {"grad": {"fd_step": "x"}}),
+            ("grad-check", {"grad": {"data": "bogus"}}),
         ],
-        ids=["toy-nt-1", "toy-nt-abc", "grad-n-2", "grad-n-0"],
+        ids=[
+            "toy-nt-1",
+            "toy-nt-abc",
+            "grad-n-2",
+            "grad-n-0",
+            "equiv-n-2",
+            "equiv-receiver-out-of-range",
+            "equiv-instances-x",
+            "grad-sigma_m_rel-x",
+            "grad-fd_step-x",
+            "grad-data-bogus",
+        ],
     )
     def test_rejected_config_value(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, payload, code",
+        [
+            (["scan"], {"toy": {"nt": 1}}, 2),
+            (
+                ["extsrc", "--regime", "general"],
+                {"toy": {**SMALL_TOY["toy"], "sigma_m": 0.0}},
+                1,
+            ),
+        ],
+        ids=["config-error", "check-failed"],
+    )
+    def test_failed_command_leaves_error_manifest(self, tmp_path, argv, payload, code):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
 
 
 class TestEquivCheck:

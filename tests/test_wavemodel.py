@@ -15,7 +15,7 @@ from xfwi import (
 )
 from xfwi import linops
 from xfwi.cli import DEFAULT_CONFIG, gradient_problem
-from xfwi.wavemodel import dA_dm
+from xfwi.wavemodel import _normal_matrix, dA_dm
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -273,3 +273,26 @@ class TestKernel:
             e[k] = 1.0
             col = forward_F(1.85, acq, e).values.ravel()
             assert np.linalg.norm(F[:, k] - col) <= 1e-12
+
+
+class TestNormalMatrix:
+    # With 64-row blocks of the displacement term, nt - 1 = 511 and 1023
+    # leave a partial last block and nt = 65 fills its one block exactly.
+    @pytest.mark.parametrize("c", [1.6, 2.0, 2.4])  # below, at and above c_true
+    @pytest.mark.parametrize("distances", [[1.0], [0.8, 1.0, 1.2]], ids=["1rec", "3rec"])
+    @pytest.mark.parametrize("nt", [2, 3, 33, 65, 512, 1024])
+    def test_matches_dense_gram(self, nt, distances, c):
+        acq = line_acquisition(distances, nt=nt, dt=0.004)
+        F = dense_forward_matrix(c, acq)
+        expected = F.T @ F
+        G = _normal_matrix(c, acq)
+        assert np.abs(G - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("c", [1.6, 2.4])
+    @pytest.mark.parametrize("distances", [[0.3, 0.5], [0.8, 1.0, 1.2]])
+    def test_norm_bounded_by_spreading(self, distances, c):
+        # Each receiver block crops a circulant whose symbol has modulus at
+        # most 1 / r_i; the toy's condition bound rests on this.
+        acq = line_acquisition(distances, nt=256, dt=0.004)
+        top = np.linalg.eigvalsh(_normal_matrix(c, acq)).max()
+        assert top <= np.sum(acq.distances() ** -2.0) * (1.0 + 1e-12)

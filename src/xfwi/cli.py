@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -207,21 +208,23 @@ def _write_manifest(out, manifest):
     )
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+# One printf spec per column dtype kind; anything else is written with str().
+_CSV_SPECS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}
 
 
-def write_csv(path, header, rows):
-    # '.' decimals, '\n' line endings, 17 significant digits.
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """Write equal-length columns under a header line.
+
+    '.' decimals, '\n' line endings, integers and booleans as integers,
+    floats at 17 significant digits; the body is formatted in one call.
+    """
+    columns = [np.asarray(col) for col in columns]
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError("CSV columns differ in length")
+    row = ",".join(_CSV_SPECS.get(col.dtype.kind, "%s") for col in columns) + "\n"
+    cells = tuple(chain.from_iterable(zip(*(col.tolist() for col in columns))))
+    Path(path).write_text(",".join(header) + "\n" + (row * n) % cells)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def cmd_equiv_check(args, cfg, out, manifest):
     write_csv(
         out / "equivalence.csv",
         ["instance_id", "phi_joint", "phi_reduced", "rel_gap", "identity_max_err"],
-        rows,
+        zip(*rows),
     )
     ok = worst <= 1e-9
     manifest.status = "ok" if ok else "failed"
@@ -337,10 +340,6 @@ def cmd_grad_check(args, cfg, out, manifest):
     floor = 1e-9 * (1.0 + np.max(np.abs(fd)))
     rel = np.abs(analytic - fd) / (np.abs(fd) + floor)
     rel_paper = np.abs(paper - fd) / (np.abs(fd) + floor)
-    rows = [
-        (k, analytic[k], fd[k], rel[k], paper[k], rel_paper[k])
-        for k in range(len(analytic))
-    ]
     write_csv(
         out / "gradient.csv",
         [
@@ -351,7 +350,7 @@ def cmd_grad_check(args, cfg, out, manifest):
             "paper_variant",
             "paper_variant_rel_err",
         ],
-        rows,
+        [np.arange(len(analytic)), analytic, fd, rel, paper, rel_paper],
     )
     ok = bool(np.all(rel <= 1e-4))
     manifest.status = "ok" if ok else "failed"
@@ -387,29 +386,28 @@ def cmd_kernel(args, cfg, out, manifest):
     toy_cfg = _toy_config(cfg)
     acq = acquisition(toy_cfg)
     panels = kernel_k(toy_cfg.c_true, acq)
-    dists = acq.distances()
-    peak_rows = []
-    ok = True
-    for i in range(acq.n_receivers):
-        for j in range(acq.n_receivers):
-            trace = panels.traces[i, j]
+    nrec = acq.n_receivers
+    for i in range(nrec):
+        for j in range(nrec):
             write_csv(
                 out / f"kernel_{i + 1}{j + 1}.csv",
                 ["lag", "value"],
-                list(zip(panels.lags, trace)),
+                [panels.lags, panels.traces[i, j]],
             )
-            expected = (dists[i] - dists[j]) / toy_cfg.c_true
-            measured = float(panels.lags[int(np.argmax(np.abs(trace)))])
-            delta = abs(measured - expected)
-            ok = ok and delta <= toy_cfg.dt
-            peak_rows.append((i + 1, j + 1, expected, measured, delta))
+    dists = acq.distances()
+    expected = (dists[:, None] - dists[None, :]) / toy_cfg.c_true
+    measured = panels.lags[np.argmax(np.abs(panels.traces), axis=2)]
+    delta = np.abs(measured - expected)
+    ok = bool(np.all(delta <= toy_cfg.dt))
+    pair = np.arange(1, nrec + 1)
     write_csv(
         out / "kernel_peaks.csv",
         ["i", "j", "expected_lag", "measured_lag", "abs_delta"],
-        peak_rows,
+        [np.repeat(pair, nrec), np.tile(pair, nrec), expected.ravel(),
+         measured.ravel(), delta.ravel()],
     )
     manifest.status = "ok" if ok else "failed"
-    print(f"kernel: {len(peak_rows)} panels written")
+    print(f"kernel: {delta.size} panels written")
     return 0 if ok else 1
 
 
@@ -421,17 +419,6 @@ def cmd_scan(args, cfg, out, manifest):
         "ok" if sc == se == "ok" else f"{sc}/{se}"
         for sc, se in zip(conv.status, ext.status)
     ]
-    rows = [
-        (
-            conv.c_values[k],
-            conv.phi_norm[k],
-            ext.phi_norm[k],
-            conv.phi_raw[k],
-            ext.phi_raw[k],
-            status[k],
-        )
-        for k in range(len(conv.c_values))
-    ]
     write_csv(
         out / "scan.csv",
         [
@@ -442,7 +429,7 @@ def cmd_scan(args, cfg, out, manifest):
             "phi_extended_raw",
             "status",
         ],
-        rows,
+        [conv.c_values, conv.phi_norm, ext.phi_norm, conv.phi_raw, ext.phi_raw, status],
     )
     summary = {
         "argmin": {"conventional": conv.argmin_c, "extended": ext.argmin_c},
@@ -479,24 +466,19 @@ def cmd_extsrc(args, cfg, out, manifest):
         write_csv(
             out / f"extsrc_c{c:g}.csv",
             ["t", "q", "f", "q_plus_f"],
-            list(zip(times, q, res.extension, res.q_plus_f)),
+            [times, q, res.extension, res.q_plus_f],
         )
-        rows = []
-        for i in range(res.observed.n_receivers):
-            for k in range(toy_cfg.nt):
-                rows.append(
-                    (
-                        times[k],
-                        i + 1,
-                        res.observed.values[i, k],
-                        res.clean.values[i, k],
-                        res.fitted.values[i, k],
-                    )
-                )
+        n_rec = res.observed.n_receivers
         write_csv(
             out / f"extdata_c{c:g}.csv",
             ["t", "receiver_id", "observed", "clean_model", "fitted"],
-            rows,
+            [
+                np.tile(times, n_rec),
+                np.repeat(np.arange(1, n_rec + 1), toy_cfg.nt),
+                res.observed.values.ravel(),
+                res.clean.values.ravel(),
+                res.fitted.values.ravel(),
+            ],
         )
         print(
             f"extsrc c={c:g} ({args.regime}): fit rel {res.fit_rel:.3e}, "

@@ -18,6 +18,7 @@ from .errors import (
 )
 
 _HERMITIAN_RTOL = 1e-12
+_HERMITIAN_BLOCK = 128  # tile side of the Hermitian check
 _COND_LIMIT = 1e14
 
 
@@ -241,12 +242,21 @@ def check_condition(cond, what):
 def _check_hermitian(M, what):
     """Reject ``M`` unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``.
 
-    The test is written so that NaN passes nothing: any non-finite entry
-    makes the asymmetry NaN and is rejected too.
+    The squared Frobenius norm of ``M - M^H`` is summed over the square
+    tiles of its lower block triangle, each off-diagonal tile counted twice
+    for its mirror image, so no full-size strided transpose is formed and
+    the tiles stay in cache. The test is written so that NaN passes nothing:
+    a NaN entry, or ``inf - inf`` in ``M - M^H``, makes it NaN and rejects.
     """
+    asym2 = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
-        asym = np.linalg.norm(M - M.conj().T)
-    if not asym <= _HERMITIAN_RTOL * (np.linalg.norm(M) + 1e-300):
+        for i in range(0, M.shape[0], _HERMITIAN_BLOCK):
+            rows = slice(i, i + _HERMITIAN_BLOCK)
+            for j in range(0, i + 1, _HERMITIAN_BLOCK):
+                cols = slice(j, j + _HERMITIAN_BLOCK)
+                tile = np.linalg.norm(M[rows, cols] - M[cols, rows].conj().T) ** 2
+                asym2 += tile if i == j else 2.0 * tile
+    if not np.sqrt(asym2) <= _HERMITIAN_RTOL * (np.linalg.norm(M) + 1e-300):
         raise NotPositiveDefiniteError(
             f"{what} is not finite and Hermitian to {_HERMITIAN_RTOL:.0e}"
         )

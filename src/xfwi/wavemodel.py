@@ -14,6 +14,7 @@ length; the 2x padding keeps the convolution linear rather than circular.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -227,10 +228,23 @@ def _pad_length(nt):
 
 
 def _phase_factors(c, acq):
-    N = _pad_length(acq.nt)
-    omega = 2.0 * np.pi * np.fft.fftfreq(N, acq.dt)
-    r = acq.distances()
-    return np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None], N
+    """Per-receiver delay-and-scale symbols ``exp(-i omega r_i / c) / r_i``.
+
+    Returns ``(table, N)`` with N the padded length. One scan point or extsrc
+    velocity applies F and its adjoint several times, so the table is cached
+    per (velocity, distances, nt, dt) and handed out read-only.
+    """
+    return _phase_table(float(c), tuple(acq.distances()), acq.nt, acq.dt)
+
+
+@lru_cache(maxsize=8)
+def _phase_table(c, distances, nt, dt):
+    N = _pad_length(nt)
+    omega = 2.0 * np.pi * np.fft.fftfreq(N, dt)
+    r = np.array(distances)
+    table = np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None]
+    table.flags.writeable = False
+    return table, N
 
 
 # Rows of the displacement term formed per matrix product in _normal_matrix.
@@ -246,23 +260,25 @@ def _normal_matrix(c, acq):
     ``G[j+1, k+1] = G[j, k] + E[j, k]`` with
     ``E = sum_i (u_i u_i^T - v_i v_i^T)``, ``u_i(l) = t_i(-1-l)`` and
     ``v_i(l) = t_i(nt-1-l)`` (Kailath & Sayed, SIAM Rev. 37, 1995). The first
-    row is ``F^T F e_0``; every later row is the previous one shifted right
-    plus a row of E, whose rows are formed a block at a time.
+    column is ``F^T F e_0``; every later column is the previous one shifted
+    down plus a column of E (a row, E being symmetric), formed a block at a
+    time. G comes out in Fortran order, so LAPACK's Cholesky takes it without
+    a transposing copy.
     """
     _check_forward_inputs(c, acq)
     phases, _ = _phase_factors(c, acq)
     nt = acq.nt
     t = np.fft.ifft(phases, axis=1).real
-    G = np.empty((nt, nt))
-    G[0] = _shift_gather(c, acq, t[:, :nt])  # F^T applied to F e_0 = t[:, :nt]
-    G[1:, 0] = G[0, 1:]
+    G = np.empty((nt, nt), order="F")
+    G[:, 0] = _shift_gather(c, acq, t[:, :nt])  # F^T applied to F e_0 = t[:, :nt]
+    G[0, 1:] = G[1:, 0]
     uv = np.vstack([t[:, : nt - 1 : -1], t[:, nt - 1 :: -1]])  # rows u_i, then v_i
     signed = np.vstack([uv[: acq.n_receivers], -uv[acq.n_receivers :]])[:, : nt - 1]
     for j0 in range(0, nt - 1, _GRAM_BLOCK):
         j1 = min(j0 + _GRAM_BLOCK, nt - 1)
         E = uv[:, j0:j1].T @ signed
         for j in range(j0, j1):
-            np.add(G[j, :-1], E[j - j0], out=G[j + 1, 1:])
+            np.add(G[:-1, j], E[j - j0], out=G[1:, j + 1])
     return G
 
 

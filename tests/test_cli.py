@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from xfwi.cli import main
+from xfwi.cli import DEFAULT_CONFIG, _toy_config, main, write_csv
+from xfwi.toy import estimate_extended_source
 
 SMALL_TOY = {
     "toy": {
@@ -296,3 +297,62 @@ class TestExtsrcCommand:
         f = np.array([float(r[2]) for r in rows])
         q = np.array([float(r[1]) for r in rows])
         assert np.linalg.norm(f) <= 1e-8 * np.linalg.norm(q)
+
+
+def reference_csv(header, rows):
+    """Row-by-row formatter the column writer must reproduce byte for byte."""
+
+    def fmt(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return f"{float(v):.17g}"
+        return str(v)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_matches_row_formatter(self, tmp_path):
+        flags = [True, False, True, False]
+        py_ints = [0, -7, 2**40, 12]
+        np_ints = np.array([3, -1, 0, 9], dtype=np.int64)
+        floats = np.array([0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23])
+        special = np.array([np.nan, np.inf, -np.inf, -0.0])
+        status = ["ok", "IllConditionedError", "ok/DegenerateWeightsError", "x"]
+        columns = [flags, py_ints, np_ints, floats, special, status]
+        header = ["b", "i", "k", "x", "y", "status"]
+        write_csv(tmp_path / "t.csv", header, columns)
+        expected = reference_csv(header, zip(*columns))
+        assert (tmp_path / "t.csv").read_text() == expected
+        assert "1,0,3,0.10000000000000001,nan,ok\n" in expected
+        assert ",-0,x\n" in expected
+
+    def test_zero_rows_is_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [np.array([]), []])
+        assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+    def test_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [1]])
+
+    def test_extdata_rows_are_receiver_major(self, tmp_path):
+        toy = {**SMALL_TOY["toy"], "nt": 48, "receiver_distances": [0.9, 1.1]}
+        cfg = write_config(tmp_path, {"toy": toy})
+        out = tmp_path / "out"
+        assert main(["extsrc", "--config", cfg, "--out", str(out), "--c", "1.8"]) == 0
+        toy_cfg = _toy_config({"toy": {**DEFAULT_CONFIG["toy"], **toy}})
+        res = estimate_extended_source(toy_cfg, 1.8)
+        times = np.arange(toy_cfg.nt) * toy_cfg.dt
+        rows = [
+            (times[k], i + 1, res.observed.values[i, k], res.clean.values[i, k],
+             res.fitted.values[i, k])
+            for i in range(2)
+            for k in range(toy_cfg.nt)
+        ]
+        header = ["t", "receiver_id", "observed", "clean_model", "fitted"]
+        assert (out / "extdata_c1.8.csv").read_text() == reference_csv(header, rows)

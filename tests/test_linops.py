@@ -11,7 +11,7 @@ from xfwi import (
     dot_test,
     weighted_norm_sq,
 )
-from xfwi.linops import TridiagonalOperator
+from xfwi.linops import TridiagonalOperator, _check_hermitian
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -200,3 +200,59 @@ class TestTridiagonalOperator:
         assert np.allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-14)
         assert np.allclose(op.rmatvec(x), op.to_dense().conj().T @ x, rtol=1e-14)
         assert dot_test(op, trials=5, seed=20) <= 1e-14
+
+
+class TestHermitianCheck:
+    # Two full 128-row blocks and a partial one of 7 rows.
+    N = 2 * 128 + 7
+
+    @staticmethod
+    def accepted_by_oracle(M):
+        # The unblocked rule: ||M - M^H||_F <= 1e-12 ||M||_F, NaN rejected.
+        with np.errstate(invalid="ignore"):
+            asym = np.linalg.norm(M - M.conj().T)
+        return bool(asym <= 1e-12 * (np.linalg.norm(M) + 1e-300))
+
+    @staticmethod
+    def accepted(M):
+        try:
+            _check_hermitian(M, "matrix")
+        except NotPositiveDefiniteError:
+            return False
+        return True
+
+    def hermitian(self, dtype):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((self.N, self.N)).astype(dtype)
+        if dtype is complex:
+            B += 1j * rng.standard_normal((self.N, self.N))
+        return B + B.conj().T
+
+    def perturbed(self, dtype, at, size):
+        M = self.hermitian(dtype)
+        M[at] += size * np.linalg.norm(M)
+        return M
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermitian_accepted(self, dtype):
+        M = self.hermitian(dtype)
+        assert self.accepted(M) and self.accepted_by_oracle(M)
+        assert self.accepted(np.asfortranarray(M))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_asymmetry_in_last_partial_block(self, dtype):
+        M = self.perturbed(dtype, (self.N - 5, self.N - 2), 1e-9)
+        assert not self.accepted(M) and not self.accepted_by_oracle(M)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_in_last_column(self, dtype):
+        M = self.hermitian(dtype)
+        M[17, -1] = np.nan
+        assert not self.accepted(M) and not self.accepted_by_oracle(M)
+
+    @pytest.mark.parametrize("at", [(0, 1), (130, 3), (259, 261)])
+    @pytest.mark.parametrize("factor, accept", [(0.99, True), (1.01, False)])
+    def test_threshold_matches_unblocked_rule(self, at, factor, accept):
+        # One off-diagonal entry moved by delta gives ||M - M^H|| = sqrt(2) delta.
+        M = self.perturbed(float, at, factor * 1e-12 / np.sqrt(2.0))
+        assert self.accepted(M) == self.accepted_by_oracle(M) == accept

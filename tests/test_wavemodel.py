@@ -15,7 +15,7 @@ from xfwi import (
 )
 from xfwi import linops
 from xfwi.cli import DEFAULT_CONFIG, gradient_problem
-from xfwi.wavemodel import _normal_matrix, dA_dm
+from xfwi.wavemodel import _normal_matrix, _phase_factors, _phase_table, dA_dm
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -288,6 +288,14 @@ class TestNormalMatrix:
         G = _normal_matrix(c, acq)
         assert np.abs(G - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("nt", [33, 512, 1024])
+    def test_fortran_ordered_and_exactly_symmetric(self, nt):
+        # Filled down columns, G is the transpose of a row fill; E being
+        # symmetric, the two agree bit for bit.
+        G = _normal_matrix(1.9, line_acquisition([0.8, 1.0, 1.2], nt=nt, dt=0.004))
+        assert G.flags.f_contiguous
+        assert np.array_equal(G, G.T)
+
     @pytest.mark.parametrize("c", [1.6, 2.4])
     @pytest.mark.parametrize("distances", [[0.3, 0.5], [0.8, 1.0, 1.2]])
     def test_norm_bounded_by_spreading(self, distances, c):
@@ -296,3 +304,36 @@ class TestNormalMatrix:
         acq = line_acquisition(distances, nt=256, dt=0.004)
         top = np.linalg.eigvalsh(_normal_matrix(c, acq)).max()
         assert top <= np.sum(acq.distances() ** -2.0) * (1.0 + 1e-12)
+
+
+class TestPhaseCache:
+    def test_table_is_read_only(self):
+        table, _ = _phase_factors(1.9, line_acquisition([0.8, 1.0], nt=64, dt=0.004))
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "c, distances, nt, dt",
+        [
+            (1.9, [0.8, 1.0], 64, 0.002),
+            (1.9, [0.8, 1.0], 80, 0.004),
+            (2.1, [0.8, 1.0], 64, 0.004),
+            (1.9, [0.8, 1.1], 64, 0.004),
+        ],
+        ids=["dt", "nt", "c", "receivers"],
+    )
+    def test_each_key_part_gives_its_own_table(self, c, distances, nt, dt):
+        base, _ = _phase_factors(1.9, line_acquisition([0.8, 1.0], nt=64, dt=0.004))
+        other, _ = _phase_factors(c, line_acquisition(distances, nt=nt, dt=dt))
+        assert other is not base
+        assert other.shape != base.shape or not np.array_equal(other, base)
+
+    def test_forward_same_cold_and_warm(self):
+        acq = line_acquisition([0.8, 1.0, 1.2], nt=96, dt=0.004)
+        q = np.random.default_rng(4).standard_normal(96)
+        _phase_table.cache_clear()
+        cold = forward_F(1.85, acq, q).values
+        assert _phase_table.cache_info().misses == 1
+        warm = forward_F(1.85, acq, q).values
+        assert _phase_table.cache_info().hits >= 1
+        assert np.array_equal(cold, warm)

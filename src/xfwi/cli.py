@@ -90,11 +90,11 @@ def load_config(path):
         return json.loads(json.dumps(DEFAULT_CONFIG)), _digest_bytes(
             _canonical_bytes(DEFAULT_CONFIG)
         )
-    raw = Path(path).read_bytes()
     try:
+        raw = Path(path).read_bytes()
         user = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot load config: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
@@ -316,11 +316,10 @@ def cmd_equiv_check(args, cfg, out, manifest):
     rows = []
     worst = 0.0
     for instance_id, prob, m in make_equiv_instances(cfg["equiv"], args.seed):
-        rep = verify_equivalence(prob, [m])
+        rep = verify_equivalence(prob, m)
         ident = verify_matrix_identity(prob, m)
-        s = rep.samples[0]
-        worst = max(worst, s.rel_gap)
-        rows.append((instance_id, s.phi_joint, s.phi_reduced, s.rel_gap, ident))
+        worst = max(worst, rep.rel_gap)
+        rows.append((instance_id, rep.phi_joint, rep.phi_reduced, rep.rel_gap, ident))
     write_csv(
         out / "equivalence.csv",
         ["instance_id", "phi_joint", "phi_reduced", "rel_gap", "identity_max_err"],
@@ -488,6 +487,15 @@ def cmd_extsrc(args, cfg, out, manifest):
     return 0
 
 
+def _velocity(text):
+    c = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < c < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"velocity must be positive and finite, got {text!r}"
+        )
+    return c
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="xfwi",
@@ -514,7 +522,7 @@ def build_parser():
             )
             p.add_argument(
                 "--c",
-                type=float,
+                type=_velocity,
                 action="append",
                 help="trial velocity in km/s (repeatable; default 1.8 and 2.2)",
             )
@@ -534,9 +542,6 @@ def main(argv=None):
         run = _start_manifest(args.command, args, digest)
         return args.func(args, cfg, *run)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except XfwiError as exc:

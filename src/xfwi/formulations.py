@@ -22,11 +22,11 @@ opposite sign appears in some derivations and cancels in every quadratic
 form.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import (
     DimensionMismatchError,
@@ -35,7 +35,14 @@ from .errors import (
     RejectedInputError,
     UnsupportedGeometryError,
 )
-from .linops import CovarianceSpec, SamplingOperator, dense_spd_solve, weighted_norm_sq
+from .linops import (
+    CovarianceSpec,
+    DenseOperator,
+    SamplingOperator,
+    _spd_factor,
+    dense_spd_solve,
+    weighted_norm_sq,
+)
 from .wavemodel import medium_values
 
 
@@ -98,7 +105,14 @@ class ObjectiveReport:
 
 
 @dataclass
-class EquivalenceSample:
+class EquivalenceReport:
+    """Joint against reduced objective at one medium, with the split errors.
+
+    ``rel_gap = |phi_joint - phi_reduced| / (1 + phi_joint)``. The split
+    errors compare the optimal state's correction ``u - u0`` (``u0 = A^{-1} q``)
+    with its state-, data- and process-side closed forms.
+    """
+
     phi_joint: float
     phi_reduced: float
     rel_gap: float
@@ -106,14 +120,9 @@ class EquivalenceSample:
     data_split_err: float
     process_split_err: float
 
-
-@dataclass
-class EquivalenceReport:
-    """Worst-case mismatches over a family of media."""
-
-    samples: list = field(default_factory=list)
-    max_rel_gap: float = 0.0
-    max_intermediate_err: float = 0.0
+    @property
+    def max_intermediate_err(self):
+        return max(self.state_split_err, self.data_split_err, self.process_split_err)
 
 
 def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
@@ -136,7 +145,8 @@ def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
 
 # ---------------------------------------------------------------------------
 # shared pieces: the production path works on the factored operator; the
-# dense Gram pieces below it serve the verifiers as an independent oracle
+# dense joint system below it is the independent oracle of solve_state,
+# phi_joint and the verifiers
 
 
 def _sensitivity(prob, A):
@@ -153,23 +163,49 @@ def _dense_A(prob, m):
     return np.asarray(prob.A_builder(m).to_dense())
 
 
-def _gram_factor(prob, A):
-    """Factor B = A^H sigma_p^{-1} A, the process-weighted normal matrix."""
-    B = A.conj().T @ prob.sigma_p.solve(A)
-    B = 0.5 * (B + B.conj().T)
+class _JointSystem(NamedTuple):
+    A: np.ndarray  # dense A(m)
+    P: np.ndarray  # dense sampling operator, complex
+    G: np.ndarray  # Gram A^H sigma_p^{-1} A as computed; B is its Hermitian part
+    N_factor: tuple  # Cholesky factor of N = B + P^H sigma_m^{-1} P
+    u: np.ndarray  # optimal state N^{-1} (A^H sigma_p^{-1} q + P^H sigma_m^{-1} d)
+
+
+def _joint_system(prob, m):
+    """Dense joint side at ``m``: the one place the Gram and ``N`` are formed.
+
+    ``N`` is Cholesky-factored and solved for the optimal state. Only the
+    verifiers, which need ``K = P B^{-1} P^H``, take the Gram's Hermitian
+    part ``B`` and factor it. This is an O(n^3) oracle for the joint side of
+    the equivalence, not a production path: normal equations square the
+    conditioning of ``A``, and an augmented (KKT) solve with the covariances
+    as blocks is the planned replacement at large n.
+    """
+    A = _dense_A(prob, m)
+    Pd = prob.P.to_dense().astype(complex)
+    G = A.conj().T @ prob.sigma_p.solve(A)
+    N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
+    N = 0.5 * (N + N.conj().T)
     try:
-        return B, cho_factor(B, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+        N_factor = _spd_factor(N, "normal matrix")
+    except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
-            f"process-weighted normal matrix is not positive definite: {exc}"
+            f"normal matrix is singular to tolerance: {exc}",
+            condition=float(np.linalg.cond(N)),
         ) from exc
+    rhs = A.conj().T @ prob.sigma_p.solve(prob.q)
+    rhs += prob.P.rmatvec(prob.sigma_m.solve(prob.d))
+    u = cho_solve(N_factor, rhs, check_finite=False)
+    return _JointSystem(A, Pd, G, N_factor, u)
 
 
-def _sigma_of_m_from_factor(prob, B_factor):
-    Pd = prob.P.to_dense()
-    X = cho_solve(B_factor, Pd.conj().T.astype(complex), check_finite=False)
-    K = Pd @ X
-    return 0.5 * (K + K.conj().T)
+def _sigma_of_m_from_gram(system):
+    """``B^{-1} P^H`` and ``K = P B^{-1} P^H`` from a Cholesky factor of ``B``."""
+    B = 0.5 * (system.G + system.G.conj().T)
+    B_factor = _spd_factor(B, "process-weighted normal matrix")
+    BinvPH = cho_solve(B_factor, system.P.conj().T, check_finite=False)
+    K = system.P @ BinvPH
+    return BinvPH, 0.5 * (K + K.conj().T)
 
 
 def _rel_diff(x, y):
@@ -187,33 +223,15 @@ def solve_state(prob, m):
 
     Returns ``u(m) = N^{-1} (A^H sigma_p^{-1} q + P^H sigma_m^{-1} d)`` with
     ``N = A^H sigma_p^{-1} A + P^H sigma_m^{-1} P``, formed densely and
-    solved by Cholesky. This is an O(n^3) oracle for the joint side of the
-    equivalence, not a production path: normal equations square the
-    conditioning of ``A``, and an augmented (KKT) solve with the
-    covariances as blocks is the planned replacement at large n.
+    solved by Cholesky (see :func:`_joint_system`).
     """
-    A = _dense_A(prob, m)
-    Pd = prob.P.to_dense()
-    N = A.conj().T @ prob.sigma_p.solve(A) + Pd.conj().T @ prob.sigma_m.solve(
-        Pd.astype(complex)
-    )
-    N = 0.5 * (N + N.conj().T)
-    rhs = A.conj().T @ prob.sigma_p.solve(prob.q) + prob.P.rmatvec(
-        prob.sigma_m.solve(prob.d)
-    )
-    try:
-        return dense_spd_solve(N, rhs)
-    except NotPositiveDefiniteError as exc:
-        raise IllConditionedError(
-            f"normal matrix is singular to tolerance: {exc}",
-            condition=float(np.linalg.cond(N)),
-        ) from exc
+    return _joint_system(prob, m).u
 
 
-def _joint_report(prob, A, u):
-    """Joint objective at state ``u`` for the dense operator ``A``."""
-    r_data = prob.P.matvec(u) - prob.d
-    r_proc = A @ u - prob.q
+def _joint_report(prob, system):
+    """Joint objective at the optimal state of the dense joint system."""
+    r_data = prob.P.matvec(system.u) - prob.d
+    r_proc = system.A @ system.u - prob.q
     value = weighted_norm_sq(prob.sigma_m, r_data) + weighted_norm_sq(
         prob.sigma_p, r_proc
     )
@@ -231,7 +249,7 @@ def phi_joint(prob, m):
     from :func:`solve_state`, so it inherits that dense O(n^3) cost; it is
     the oracle the reduced objective is checked against.
     """
-    return _joint_report(prob, _dense_A(prob, m), solve_state(prob, m))
+    return _joint_report(prob, _joint_system(prob, m))
 
 
 def sigma_of_m(prob, m):
@@ -466,58 +484,33 @@ def verify_matrix_identity(prob, m):
     """
     if prob.state_dim > 200:
         raise RejectedInputError("identity check is a dense-regime verifier (n <= 200)")
-    A = _dense_A(prob, m)
-    Pd = prob.P.to_dense().astype(complex)
-    B, B_factor = _gram_factor(prob, A)
+    system = _joint_system(prob, m)
     Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
-    N = Pd.conj().T @ Sm_inv @ Pd + B
-    lhs = np.linalg.solve(N, Pd.conj().T @ Sm_inv)
-    K = _sigma_of_m_from_factor(prob, B_factor)
-    S = K + prob.sigma_m.to_dense()
-    rhs = cho_solve(B_factor, Pd.conj().T, check_finite=False) @ np.linalg.inv(S)
+    lhs = cho_solve(system.N_factor, system.P.conj().T @ Sm_inv, check_finite=False)
+    BinvPH, K = _sigma_of_m_from_gram(system)
+    rhs = BinvPH @ np.linalg.inv(K + prob.sigma_m.to_dense())
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
-def verify_equivalence(prob, m_samples):
-    """Numerically confirm joint and reduced objectives coincide.
-
-    For each medium the two objective values are compared, along with the
-    three split identities relating the optimal state ``u`` to the reduced
-    residual (state, data-side, and process-side expressions). Returns a
-    report with the worst relative mismatches.
-    """
-    report = EquivalenceReport()
-    for m in m_samples:
-        A = _dense_A(prob, m)
-        u = solve_state(prob, m)
-        pj = _joint_report(prob, A, u).value
-        pr = phi_reduced(prob, m).value
-        rel_gap = abs(pj - pr) / (1.0 + pj)
-
-        u0 = np.linalg.solve(A, prob.q)
-        v = u - u0
-        r = prob.d - prob.P.matvec(u0)
-
-        Pd = prob.P.to_dense().astype(complex)
-        B, B_factor = _gram_factor(prob, A)
-        N = Pd.conj().T @ prob.sigma_m.solve(Pd) + B
-        v_expr = np.linalg.solve(N, prob.P.rmatvec(prob.sigma_m.solve(r)))
-        e_state = _rel_diff(v, v_expr)
-
-        K = _sigma_of_m_from_factor(prob, B_factor)
-        S = K + prob.sigma_m.to_dense()
-        st = dense_spd_solve(S, r)
-        e_data = _rel_diff(prob.P.matvec(v), K @ st)
-        av_expr = prob.sigma_p.apply(
-            np.linalg.solve(A.conj().T, prob.P.rmatvec(st))
-        )
-        e_proc = _rel_diff(A @ v, av_expr)
-
-        report.samples.append(
-            EquivalenceSample(pj, pr, rel_gap, e_state, e_data, e_proc)
-        )
-        report.max_rel_gap = max(report.max_rel_gap, rel_gap)
-        report.max_intermediate_err = max(
-            report.max_intermediate_err, e_state, e_data, e_proc
-        )
-    return report
+def verify_equivalence(prob, m):
+    """Compare the joint and reduced objectives at ``m``, with the split identities."""
+    system = _joint_system(prob, m)
+    pj = _joint_report(prob, system).value
+    pr = phi_reduced(prob, m).value
+    A = DenseOperator(system.A)  # one LU for u0 and the adjoint solve
+    u0 = A.solve(prob.q)
+    v = system.u - u0
+    r = prob.d - prob.P.matvec(u0)
+    rhs = prob.P.rmatvec(prob.sigma_m.solve(r))
+    v_expr = cho_solve(system.N_factor, rhs, check_finite=False)
+    _, K = _sigma_of_m_from_gram(system)
+    st = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
+    av_expr = prob.sigma_p.apply(A.solve(prob.P.rmatvec(st), adjoint=True))
+    return EquivalenceReport(
+        phi_joint=pj,
+        phi_reduced=pr,
+        rel_gap=abs(pj - pr) / (1.0 + pj),
+        state_split_err=_rel_diff(v, v_expr),
+        data_split_err=_rel_diff(prob.P.matvec(v), K @ st),
+        process_split_err=_rel_diff(system.A @ v, av_expr),
+    )

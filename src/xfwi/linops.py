@@ -247,6 +247,7 @@ def _check_hermitian(M, what):
     for its mirror image, so no full-size strided transpose is formed and
     the tiles stay in cache. The test is written so that NaN passes nothing:
     a NaN entry, or ``inf - inf`` in ``M - M^H``, makes it NaN and rejects.
+    An infinite entry makes ``||M||`` infinite, which is rejected too.
     """
     asym2 = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
@@ -256,7 +257,7 @@ def _check_hermitian(M, what):
                 cols = slice(j, j + _HERMITIAN_BLOCK)
                 tile = np.linalg.norm(M[rows, cols] - M[cols, rows].conj().T) ** 2
                 asym2 += tile if i == j else 2.0 * tile
-    if not np.sqrt(asym2) <= _HERMITIAN_RTOL * (np.linalg.norm(M) + 1e-300):
+    if not np.sqrt(asym2) <= _HERMITIAN_RTOL * (np.linalg.norm(M) + 1e-300) < np.inf:
         raise NotPositiveDefiniteError(
             f"{what} is not finite and Hermitian to {_HERMITIAN_RTOL:.0e}"
         )

@@ -52,6 +52,17 @@ class TestConfigHandling:
         missing = str(tmp_path / "absent.json")
         assert main(["scan", "--config", missing, "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_path_is_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert main(["scan", "--config", str(tmp_path), "--out", out]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"toy": {"wavelet": "r\xe9"}}')
+        assert main(["scan", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
 
@@ -268,6 +279,12 @@ class TestExtsrcCommand:
             header, rows = read_csv(out / f"extdata_c{c}.csv")
             assert header == ["t", "receiver_id", "observed", "clean_model", "fitted"]
             assert len(rows) == 3 * SMALL_TOY["toy"]["nt"]
+
+    @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
+    def test_bad_velocity_is_usage_error(self, tmp_path, c):
+        out = tmp_path / "out"
+        assert main(["extsrc", f"--c={c}", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_zero_measurement_weight_exits_1(self, tmp_path):
         toy = {**SMALL_TOY["toy"], "sigma_m": 0.0}

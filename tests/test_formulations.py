@@ -25,6 +25,8 @@ from xfwi import (
     verify_equivalence,
     verify_matrix_identity,
 )
+from xfwi import formulations
+from xfwi.cli import random_covariance
 from xfwi.errors import RejectedInputError, UnsupportedGeometryError
 from xfwi.wavemodel import dA_dm
 
@@ -38,6 +40,21 @@ def identity_problem(n, receivers, q, d, sigma_m, sigma_p):
         d=d,
         sigma_m=sigma_m,
         sigma_p=sigma_p,
+    )
+
+
+def random_operator_problem(rng, q, d):
+    """Problem with a random complex non-Hermitian ``A`` and dense weights."""
+    n = len(q)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    return Problem(
+        A_builder=lambda m: DenseOperator(M),
+        dA_contract=lambda v, w: np.zeros(n),
+        P=SamplingOperator([2, 7, 11], n),
+        q=q,
+        d=d,
+        sigma_m=random_covariance("dense", 3, 1.0, rng),
+        sigma_p=random_covariance("dense", n, 1.0, rng),
     )
 
 
@@ -433,35 +450,42 @@ class TestVerifiers:
 
     def test_random_complex_operator_identity(self):
         rng = np.random.default_rng(34)
-        n = 15
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
-        from xfwi.cli import random_covariance
+        prob = random_operator_problem(rng, np.zeros(15), np.zeros(3))
+        assert verify_matrix_identity(prob, np.ones(15)) <= 1e-9
 
-        prob = Problem(
-            A_builder=lambda m: DenseOperator(M),
-            dA_contract=lambda v, w: np.zeros(n),
-            P=SamplingOperator([2, 7, 11], n),
-            q=np.zeros(n),
-            d=np.zeros(3),
-            sigma_m=random_covariance("dense", 3, 1.0, rng),
-            sigma_p=random_covariance("dense", n, 1.0, rng),
+    def test_random_complex_operator_equivalence(self):
+        rng = np.random.default_rng(35)
+        q = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rep = verify_equivalence(random_operator_problem(rng, q, d), np.ones(15))
+        assert rep.phi_joint > 0
+        assert rep.rel_gap <= 1e-10
+        assert rep.max_intermediate_err <= 1e-10
+
+    @pytest.mark.parametrize(
+        "check", [verify_equivalence, verify_matrix_identity, phi_joint],
+        ids=lambda f: f.__name__,
+    )
+    def test_joint_system_built_once(self, monkeypatch, check):
+        build = formulations._joint_system
+        calls = []
+        monkeypatch.setattr(
+            formulations, "_joint_system", lambda *a: calls.append(a) or build(*a)
         )
-        assert verify_matrix_identity(prob, np.ones(n)) <= 1e-9
+        check(*make_helmholtz_instance(seed=47))
+        assert len(calls) == 1
 
     def test_equivalence_report(self):
-        samples = []
         for seed in range(5):
             prob, m = make_helmholtz_instance(seed=40 + seed)
-            rep = verify_equivalence(prob, [m])
-            samples.append(rep)
-            assert rep.max_rel_gap <= 1e-10
+            rep = verify_equivalence(prob, m)
+            assert rep.rel_gap <= 1e-10
             assert rep.max_intermediate_err <= 1e-10
 
     def test_equivalence_consistent_data(self):
         prob, m = make_helmholtz_instance(seed=45, data="consistent")
-        rep = verify_equivalence(prob, [m])
-        s = rep.samples[0]
-        assert s.phi_joint <= 1e-18 and s.phi_reduced <= 1e-18
+        rep = verify_equivalence(prob, m)
+        assert rep.phi_joint <= 1e-18 and rep.phi_reduced <= 1e-18
 
     def test_identity_rejects_large_problems(self):
         prob, m = make_helmholtz_instance(seed=46)

@@ -138,10 +138,18 @@ class TestCovarianceSpec:
         with pytest.raises(NotPositiveDefiniteError):
             CovarianceSpec.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="nan"),
+            pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+            # finite mirror: the asymmetry and the norm are both infinite
+            pytest.param([[1.0, np.inf], [0.0, 1.0]], id="inf-off-diagonal"),
+        ],
+    )
     def test_dense_rejects_non_finite(self, bad):
         with pytest.raises(NotPositiveDefiniteError):
-            CovarianceSpec.dense(np.array([[bad, 0.0], [0.0, 1.0]]))
+            CovarianceSpec.dense(np.array(bad))
 
     def test_singular_to_tolerance_dense(self):
         cov = CovarianceSpec.dense(np.diag([1.0, 1e-15]))

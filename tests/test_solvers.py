@@ -44,7 +44,15 @@ class TestDenseSpdSolve:
         with pytest.raises(NotPositiveDefiniteError):
             dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="nan"),
+            pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+            # finite mirror: the asymmetry and the norm are both infinite
+            pytest.param([[1.0, np.inf], [0.0, 1.0]], id="inf-off-diagonal"),
+        ],
+    )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NotPositiveDefiniteError):
-            dense_spd_solve(np.array([[bad, 0.0], [0.0, 1.0]]), np.ones(2))
+            dense_spd_solve(np.array(bad), np.ones(2))

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import XfwiError
 from .formulations import (
+    IDENTITY_MAX_N,
     fd_gradient,
     grad_phi,
     helmholtz_problem,
@@ -133,6 +134,12 @@ def _check_choice(section, sec, key, allowed):
         raise ConfigError(f"{section}.{key} must be one of {allowed}, got {sec[key]!r}")
 
 
+def _check_positive(section, values):
+    for key, value in values.items():
+        if not (value > 0 and np.isfinite(value)):
+            raise ConfigError(f"{section}.{key} must be positive and finite, got {value}")
+
+
 def _check_equiv(sec):
     """Reject an equiv section the suite cannot run, before any output."""
     try:
@@ -143,12 +150,17 @@ def _check_equiv(sec):
         SamplingOperator([int(i) for i in sec["receivers"]], n)
         instances = int(sec["instances"])
         m_min, m_max = float(sec["m_min"]), float(sec["m_max"])
-        for key in ("sigma_m", "sigma_p"):
-            float(sec[key])
+        positive = {key: float(sec[key]) for key in ("sigma_m", "sigma_p")}
     except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
         raise ConfigError(f"equiv: {exc}") from exc
+    if n > IDENTITY_MAX_N:
+        raise ConfigError(
+            f"equiv.n must be at most {IDENTITY_MAX_N} for the dense identity check, "
+            f"got {n}"
+        )
     if instances < 1:
         raise ConfigError(f"equiv.instances must be at least 1, got {instances}")
+    _check_positive("equiv", positive)
     if not 0 < m_min <= m_max:
         raise ConfigError(f"equiv: need 0 < m_min <= m_max, got {m_min}, {m_max}")
     for key in ("sigma_m_kind", "sigma_p_kind"):
@@ -166,9 +178,7 @@ def _check_grad(sec):
         positive = {key: float(sec[key]) for key in ("sigma_m_rel", "fd_step")}
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"grad: {exc}") from exc
-    for key, value in positive.items():
-        if not (value > 0 and np.isfinite(value)):
-            raise ConfigError(f"grad.{key} must be positive and finite, got {value}")
+    _check_positive("grad", positive)
     _check_choice("grad", sec, "data", ("perturbed", "consistent"))
 
 

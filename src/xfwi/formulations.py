@@ -23,10 +23,9 @@ form.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import (
     DimensionMismatchError,
@@ -37,13 +36,14 @@ from .errors import (
 )
 from .linops import (
     CovarianceSpec,
-    DenseOperator,
     SamplingOperator,
-    _spd_factor,
+    TridiagonalOperator,
     dense_spd_solve,
     weighted_norm_sq,
 )
 from .wavemodel import medium_values
+
+IDENTITY_MAX_N = 200  # largest n of the dense, entrywise identity check
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
 
 
 # ---------------------------------------------------------------------------
-# shared pieces: the production path works on the factored operator; the
-# dense joint system below it is the independent oracle of solve_state,
-# phi_joint and the verifiers
+# shared pieces: the reduced side works on the factored operator, the joint
+# side on one sparse LU of its augmented (KKT) system; neither forms
+# B = A^H sigma_p^{-1} A or N = B + P^H sigma_m^{-1} P
 
 
 def _sensitivity(prob, A):
@@ -163,49 +163,54 @@ def _dense_A(prob, m):
     return np.asarray(prob.A_builder(m).to_dense())
 
 
-class _JointSystem(NamedTuple):
-    A: np.ndarray  # dense A(m)
-    P: np.ndarray  # dense sampling operator, complex
-    G: np.ndarray  # Gram A^H sigma_p^{-1} A as computed; B is its Hermitian part
-    N_factor: tuple  # Cholesky factor of N = B + P^H sigma_m^{-1} P
-    u: np.ndarray  # optimal state N^{-1} (A^H sigma_p^{-1} q + P^H sigma_m^{-1} d)
+def _joint_solver(prob, A):
+    """Factor the augmented system of the joint objective once; return its solve.
 
+    The system, of size ``2 n + n_rec``, holds the covariances as blocks and
+    inverts none of them::
 
-def _joint_system(prob, m):
-    """Dense joint side at ``m``: the one place the Gram and ``N`` are formed.
+        [[sigma_p, 0,       A],    [lam]   [q]
+         [0,       sigma_m, P],  @ [mu ] = [d]
+         [A^H,     P^H,     0]]    [u  ]   [0]
 
-    ``N`` is Cholesky-factored and solved for the optimal state. Only the
-    verifiers, which need ``K = P B^{-1} P^H``, take the Gram's Hermitian
-    part ``B`` and factor it. This is an O(n^3) oracle for the joint side of
-    the equivalence, not a production path: normal equations square the
-    conditioning of ``A``, and an augmented (KKT) solve with the covariances
-    as blocks is the planned replacement at large n.
+    Its solution holds the joint optimum ``u``, ``lam = sigma_p^{-1} (q - A u)``
+    and ``mu = sigma_m^{-1} (d - P u)``. The blocks come from the operators' own
+    data: the diagonals of a tridiagonal ``A`` (a dense ``A`` otherwise), the
+    receiver indices, each covariance's diagonal or matrix. One sparse LU
+    serves every right-hand side; ``solve(q, d)`` takes one step of
+    iterative refinement and returns ``(lam, mu, u)``.
     """
-    A = _dense_A(prob, m)
-    Pd = prob.P.to_dense().astype(complex)
-    G = A.conj().T @ prob.sigma_p.solve(A)
-    N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
-    N = 0.5 * (N + N.conj().T)
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    def block(cov):
+        if cov.kind == cov.DIAGONAL:
+            return sparse.diags_array(cov._diag)
+        return sparse.csc_array(cov.to_dense())
+
+    n, k = prob.state_dim, prob.data_dim
+    if isinstance(A, TridiagonalOperator):
+        A = sparse.diags_array([A.lower, A.diag, A.upper], offsets=[-1, 0, 1])
+    else:
+        A = sparse.csc_array(A.to_dense())
+    P = sparse.coo_array((np.ones(k), (np.arange(k), prob.P.receiver_indices)), (k, n))
+    M = sparse.bmat(
+        [[block(prob.sigma_p), None, A], [None, block(prob.sigma_m), P],
+         [A.conj().T, P.T, None]],
+        format="csc", dtype=complex,
+    )
     try:
-        N_factor = _spd_factor(N, "normal matrix")
-    except NotPositiveDefiniteError as exc:
-        raise IllConditionedError(
-            f"normal matrix is singular to tolerance: {exc}",
-            condition=float(np.linalg.cond(N)),
-        ) from exc
-    rhs = A.conj().T @ prob.sigma_p.solve(prob.q)
-    rhs += prob.P.rmatvec(prob.sigma_m.solve(prob.d))
-    u = cho_solve(N_factor, rhs, check_finite=False)
-    return _JointSystem(A, Pd, G, N_factor, u)
+        lu = splu(M)
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise IllConditionedError(f"joint system is singular: {exc}") from exc
 
+    def solve(q, d):
+        b = np.concatenate([q, d, np.zeros(n, dtype=complex)])
+        x = lu.solve(b)
+        x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5
+        return x[:n], x[n:n + k], x[n + k:]
 
-def _sigma_of_m_from_gram(system):
-    """``B^{-1} P^H`` and ``K = P B^{-1} P^H`` from a Cholesky factor of ``B``."""
-    B = 0.5 * (system.G + system.G.conj().T)
-    B_factor = _spd_factor(B, "process-weighted normal matrix")
-    BinvPH = cho_solve(B_factor, system.P.conj().T, check_finite=False)
-    K = system.P @ BinvPH
-    return BinvPH, 0.5 * (K + K.conj().T)
+    return solve
 
 
 def _rel_diff(x, y):
@@ -219,37 +224,34 @@ def _rel_diff(x, y):
 
 
 def solve_state(prob, m):
-    """State estimate from the normal equations of the joint objective.
+    """State estimate: the minimizer over ``u`` of the joint objective.
 
-    Returns ``u(m) = N^{-1} (A^H sigma_p^{-1} q + P^H sigma_m^{-1} d)`` with
-    ``N = A^H sigma_p^{-1} A + P^H sigma_m^{-1} P``, formed densely and
-    solved by Cholesky (see :func:`_joint_system`).
+    ``u(m)`` solves the normal equations
+    ``(A^H sigma_p^{-1} A + P^H sigma_m^{-1} P) u = A^H sigma_p^{-1} q + P^H sigma_m^{-1} d``;
+    it is read off the ``u`` block of the augmented system (see
+    :func:`_joint_solver`), which never forms that normal matrix.
     """
-    return _joint_system(prob, m).u
+    return _joint_solver(prob, prob.A_builder(m))(prob.q, prob.d)[2]
 
 
-def _joint_report(prob, system):
-    """Joint objective at the optimal state of the dense joint system."""
-    r_data = prob.P.matvec(system.u) - prob.d
-    r_proc = system.A @ system.u - prob.q
-    value = weighted_norm_sq(prob.sigma_m, r_data) + weighted_norm_sq(
-        prob.sigma_p, r_proc
-    )
-    return ObjectiveReport(
-        value=value,
-        residual=r_data,
-        weighted_residual=prob.sigma_m.solve(r_data),
-    )
+def _joint_value(prob, lam, mu):
+    """``lam^H sigma_p lam + mu^H sigma_m mu``: the joint objective at its optimum."""
+    z = np.vdot(lam, prob.sigma_p.apply(lam)) + np.vdot(mu, prob.sigma_m.apply(mu))
+    return float(z.real)
 
 
 def phi_joint(prob, m):
     """Joint objective at its optimal state.
 
     ``||P u(m) - d||^2_sigma_m + ||A(m) u(m) - q||^2_sigma_p`` with ``u(m)``
-    from :func:`solve_state`, so it inherits that dense O(n^3) cost; it is
-    the oracle the reduced objective is checked against.
+    from :func:`solve_state`, evaluated as ``lam^H sigma_p lam + mu^H sigma_m mu``
+    from the same solve of the augmented system, so no covariance is
+    inverted. The report holds ``residual = P u - d`` and
+    ``weighted_residual = sigma_m^{-1} (P u - d) = -mu``. This is the
+    oracle the reduced objective is checked against.
     """
-    return _joint_report(prob, _joint_system(prob, m))
+    lam, mu, u = _joint_solver(prob, prob.A_builder(m))(prob.q, prob.d)
+    return ObjectiveReport(_joint_value(prob, lam, mu), prob.P.matvec(u) - prob.d, -mu)
 
 
 def sigma_of_m(prob, m):
@@ -262,15 +264,10 @@ def sigma_of_m(prob, m):
     return _sensitivity(prob, prob.A_builder(m))[1]
 
 
-def phi_reduced(prob, m):
-    """Reduced objective ``r^H (K + sigma_m)^{-1} r``.
-
-    Evaluates the residual ``r = P A^{-1} q - d``, solves
-    ``(K + sigma_m) r_tilde = r`` by dense Cholesky, and returns
-    ``Re <r, r_tilde>`` with both residual vectors in the report.
-    """
-    A = prob.A_builder(m)
-    r = prob.P.matvec(A.solve(prob.q)) - prob.d
+def _reduced(prob, A):
+    """Reduced objective report at the operator ``A``, with ``u0 = A^{-1} q`` and ``K``."""
+    u0 = A.solve(prob.q)
+    r = prob.P.matvec(u0) - prob.d
     _, K = _sensitivity(prob, A)
     try:
         r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
@@ -283,11 +280,17 @@ def phi_reduced(prob, m):
         raise IllConditionedError(
             f"reduced objective has imaginary part {z.imag:.3e}"
         )
-    return ObjectiveReport(
-        value=max(float(z.real), 0.0),
-        residual=r,
-        weighted_residual=r_tilde,
-    )
+    return ObjectiveReport(max(float(z.real), 0.0), r, r_tilde), u0, K
+
+
+def phi_reduced(prob, m):
+    """Reduced objective ``r^H (K + sigma_m)^{-1} r``.
+
+    Evaluates the residual ``r = P A^{-1} q - d``, solves
+    ``(K + sigma_m) r_tilde = r`` by dense Cholesky, and returns
+    ``Re <r, r_tilde>`` with both residual vectors in the report.
+    """
+    return _reduced(prob, prob.A_builder(m))[0]
 
 
 def phi_conventional(prob, m):
@@ -480,37 +483,49 @@ def verify_matrix_identity(prob, m):
             = B^{-1} P^H (P B^{-1} P^H + Sm)^{-1},
 
     with ``B = A^H Sp^{-1} A``, densely, and returns
-    ``max|LHS - RHS| / max|RHS|``.
+    ``max|LHS - RHS| / max|RHS|``. This is the one place the Gram ``B`` and
+    the normal matrix ``N = B + P^H Sm^{-1} P`` are formed, so it accepts
+    only ``n <= IDENTITY_MAX_N``.
     """
-    if prob.state_dim > 200:
-        raise RejectedInputError("identity check is a dense-regime verifier (n <= 200)")
-    system = _joint_system(prob, m)
+    if prob.state_dim > IDENTITY_MAX_N:
+        raise RejectedInputError(
+            f"identity check is a dense-regime verifier (n <= {IDENTITY_MAX_N})"
+        )
+    A = _dense_A(prob, m)
+    Pd = prob.P.to_dense().astype(complex)
+    G = A.conj().T @ prob.sigma_p.solve(A)
+    N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
+    N = 0.5 * (N + N.conj().T)
     Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
-    lhs = cho_solve(system.N_factor, system.P.conj().T @ Sm_inv, check_finite=False)
-    BinvPH, K = _sigma_of_m_from_gram(system)
-    rhs = BinvPH @ np.linalg.inv(K + prob.sigma_m.to_dense())
+    lhs = dense_spd_solve(N, Pd.conj().T @ Sm_inv)
+    BinvPH = dense_spd_solve(0.5 * (G + G.conj().T), Pd.conj().T)
+    K = Pd @ BinvPH
+    rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
 
 def verify_equivalence(prob, m):
-    """Compare the joint and reduced objectives at ``m``, with the split identities."""
-    system = _joint_system(prob, m)
-    pj = _joint_report(prob, system).value
-    pr = phi_reduced(prob, m).value
-    A = DenseOperator(system.A)  # one LU for u0 and the adjoint solve
-    u0 = A.solve(prob.q)
-    v = system.u - u0
-    r = prob.d - prob.P.matvec(u0)
-    rhs = prob.P.rmatvec(prob.sigma_m.solve(r))
-    v_expr = cho_solve(system.N_factor, rhs, check_finite=False)
-    _, K = _sigma_of_m_from_gram(system)
-    st = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
+    """Compare the joint and reduced objectives at ``m``, with the split identities.
+
+    One operator ``A(m)`` serves the reduced side and the data and process
+    splits; one LU of the augmented system serves the joint side and the
+    state split, whose ``u - u0`` is the joint optimum for the source 0 and
+    the data ``r = d - P u0``.
+    """
+    A = prob.A_builder(m)
+    solve = _joint_solver(prob, A)
+    reduced, u0, K = _reduced(prob, A)
+    lam, mu, u = solve(prob.q, prob.d)
+    pj, pr = _joint_value(prob, lam, mu), reduced.value
+    v = u - u0
+    r = -reduced.residual  # d - P u0
+    st = -reduced.weighted_residual  # (K + sigma_m)^{-1} r
     av_expr = prob.sigma_p.apply(A.solve(prob.P.rmatvec(st), adjoint=True))
     return EquivalenceReport(
         phi_joint=pj,
         phi_reduced=pr,
         rel_gap=abs(pj - pr) / (1.0 + pj),
-        state_split_err=_rel_diff(v, v_expr),
+        state_split_err=_rel_diff(v, solve(np.zeros(prob.state_dim), r)[2]),
         data_split_err=_rel_diff(prob.P.matvec(v), K @ st),
-        process_split_err=_rel_diff(system.A @ v, av_expr),
+        process_split_err=_rel_diff(A.matvec(v), av_expr),
     )

@@ -329,21 +329,18 @@ def dot_test(op, trials=10, seed=0):
 class CovarianceSpec:
     """Symmetric positive definite weight with apply and solve.
 
-    Three kinds: scaled identity ``sigma2 * I``, diagonal, and dense
-    Hermitian positive definite. Dense matrices are eigenvalue-checked and
-    Cholesky-factored once on construction; the factor is cached for the
-    repeated solves of objective scans.
+    Two kinds: diagonal (a scaled identity ``sigma2 * I`` is the diagonal of
+    equal entries) and dense Hermitian positive definite. Dense matrices are
+    eigenvalue-checked and Cholesky-factored once on construction; the
+    factor is cached for the repeated solves of objective scans.
     """
 
-    SCALED = "scaled-identity"
     DIAGONAL = "diagonal"
     DENSE = "dense-spd"
 
-    def __init__(self, kind, dim, sigma2=None, diag=None, matrix=None,
-                 factor=None, cond=None):
+    def __init__(self, kind, dim, diag=None, matrix=None, factor=None, cond=None):
         self.kind = kind
         self.dim = int(dim)
-        self._sigma2 = sigma2
         self._diag = diag
         self._matrix = matrix
         self._factor = factor
@@ -351,17 +348,14 @@ class CovarianceSpec:
 
     @classmethod
     def scaled_identity(cls, sigma2, dim):
-        sigma2 = float(sigma2)
-        if not np.isfinite(sigma2) or sigma2 <= 0:
-            raise NotPositiveDefiniteError(f"sigma2 must be positive, got {sigma2}")
-        return cls(cls.SCALED, dim, sigma2=sigma2, cond=1.0)
+        return cls.diagonal(np.full(int(dim), float(sigma2)))
 
     @classmethod
     def diagonal(cls, values):
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise NotPositiveDefiniteError("diagonal entries must be finite and > 0")
-        return cls(cls.DIAGONAL, len(v), diag=v, cond=float(v.max() / v.min()))
+        return cls(cls.DIAGONAL, len(v), diag=v)
 
     @classmethod
     def dense(cls, matrix):
@@ -389,32 +383,19 @@ class CovarianceSpec:
 
     def apply(self, x):
         x = self._check_dim(x)
-        if self.kind == self.SCALED:
-            return self._sigma2 * x
         if self.kind == self.DIAGONAL:
-            if x.ndim == 1:
-                return self._diag * x
-            return self._diag[:, None] * x
+            return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
         return self._matrix @ x
 
     def solve(self, x):
         x = self._check_dim(x)
-        if self.kind == self.SCALED:
-            return x / self._sigma2
         if self.kind == self.DIAGONAL:
-            if x.ndim == 1:
-                return x / self._diag
-            return x / self._diag[:, None]
-        if self.cond is not None:
-            check_condition(self.cond, "covariance")
+            return x / self._diag if x.ndim == 1 else x / self._diag[:, None]
+        check_condition(self.cond, "covariance")
         return cho_solve(self._factor, x, check_finite=False)
 
     def to_dense(self):
-        if self.kind == self.SCALED:
-            return self._sigma2 * np.eye(self.dim)
-        if self.kind == self.DIAGONAL:
-            return np.diag(self._diag)
-        return self._matrix
+        return np.diag(self._diag) if self.kind == self.DIAGONAL else self._matrix
 
 
 def weighted_norm_sq(cov, r):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xfwi.cli import DEFAULT_CONFIG, _toy_config, main, write_csv
+from xfwi.formulations import IDENTITY_MAX_N
 from xfwi.toy import estimate_extended_source
 
 SMALL_TOY = {
@@ -104,6 +105,28 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1.0", "0.0", '"nan"', "1e400"])
+    @pytest.mark.parametrize("key", ["sigma_m", "sigma_p"])
+    def test_equiv_weight_must_be_positive_and_finite(self, tmp_path, capsys, key, value):
+        # -1.0 would otherwise run as +1.0: the covariance squares its scale
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"equiv": {{"{key}": {value}}}}}')
+        out = tmp_path / "o"
+        assert main(["equiv-check", "--config", str(path), "--out", str(out)]) == 2
+        assert f"equiv.{key} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equiv_n_above_identity_limit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"equiv": {"n": IDENTITY_MAX_N + 1, "instances": 1}})
+        out = tmp_path / "o"
+        assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 2
+        assert f"equiv.n must be at most {IDENTITY_MAX_N}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equiv_n_at_identity_limit_runs(self, tmp_path):
+        cfg = write_config(tmp_path, {"equiv": {"n": IDENTITY_MAX_N, "instances": 1}})
+        assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
         "argv, payload, code",

@@ -121,6 +121,17 @@ class TestCovarianceSpec:
             assert weighted_norm_sq(cov, r) > 0
         assert weighted_norm_sq(cov, np.zeros(dim)) == 0.0
 
+    def test_scaled_identity_is_a_diagonal_of_equal_entries(self):
+        # same IEEE multiply or divide per entry as sigma2 * x and x / sigma2
+        rng = np.random.default_rng(17)
+        cov = CovarianceSpec.scaled_identity(3.7, 6)
+        x = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        assert cov.kind == CovarianceSpec.DIAGONAL
+        for v in (x, x[:, 0]):
+            assert np.array_equal(cov.apply(v), 3.7 * v)
+            assert np.array_equal(cov.solve(v), v / 3.7)
+        assert np.array_equal(cov.to_dense(), 3.7 * np.eye(6))
+
     def test_scaled_matches_two_norm(self):
         rng = np.random.default_rng(13)
         r = rng.standard_normal(8)

@@ -151,7 +151,7 @@ def _check_equiv(sec):
         instances = int(sec["instances"])
         m_min, m_max = float(sec["m_min"]), float(sec["m_max"])
         positive = {key: float(sec[key]) for key in ("sigma_m", "sigma_p")}
-    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"equiv: {exc}") from exc
     if n > IDENTITY_MAX_N:
         raise ConfigError(
@@ -176,7 +176,7 @@ def _check_grad(sec):
             n=n, h=1.0 / n, omega=float(sec["omega"]), boundary=sec["boundary"]
         )
         positive = {key: float(sec[key]) for key in ("sigma_m_rel", "fd_step")}
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:  # n = 0 or int(inf)
         raise ConfigError(f"grad: {exc}") from exc
     _check_positive("grad", positive)
     _check_choice("grad", sec, "data", ("perturbed", "consistent"))
@@ -387,7 +387,7 @@ def _toy_config(cfg):
             scan=tuple(t["scan"]),
             floor=float(t["floor"]),
         )
-    except (TypeError, ValueError) as exc:  # RejectedInputError is a ValueError
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"toy: {exc}") from exc
 
 

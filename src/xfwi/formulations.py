@@ -109,8 +109,8 @@ class EquivalenceReport:
     """Joint against reduced objective at one medium, with the split errors.
 
     ``rel_gap = |phi_joint - phi_reduced| / (1 + phi_joint)``. The split
-    errors compare the optimal state's correction ``u - u0`` (``u0 = A^{-1} q``)
-    with its state-, data- and process-side closed forms.
+    errors compare ``u - u0``, ``P (u - u0)`` and ``sigma_p lam`` at the joint
+    optimum with their reduced-side closed forms (see :func:`verify_equivalence`).
     """
 
     phi_joint: float
@@ -159,12 +159,8 @@ def _sensitivity(prob, A):
     return GH, 0.5 * (K + K.conj().T)
 
 
-def _dense_A(prob, m):
-    return np.asarray(prob.A_builder(m).to_dense())
-
-
-def _joint_solver(prob, A):
-    """Factor the augmented system of the joint objective once; return its solve.
+def _joint_solve(prob, A):
+    """Solve the augmented system of the joint objective; return ``(lam, mu, u)``.
 
     The system, of size ``2 n + n_rec``, holds the covariances as blocks and
     inverts none of them::
@@ -177,8 +173,7 @@ def _joint_solver(prob, A):
     and ``mu = sigma_m^{-1} (d - P u)``. The blocks come from the operators' own
     data: the diagonals of a tridiagonal ``A`` (a dense ``A`` otherwise), the
     receiver indices, each covariance's diagonal or matrix. One sparse LU
-    serves every right-hand side; ``solve(q, d)`` takes one step of
-    iterative refinement and returns ``(lam, mu, u)``.
+    and one step of iterative refinement from it give the solution.
     """
     from scipy import sparse
     from scipy.sparse.linalg import splu
@@ -203,14 +198,10 @@ def _joint_solver(prob, A):
         lu = splu(M)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise IllConditionedError(f"joint system is singular: {exc}") from exc
-
-    def solve(q, d):
-        b = np.concatenate([q, d, np.zeros(n, dtype=complex)])
-        x = lu.solve(b)
-        x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5
-        return x[:n], x[n:n + k], x[n + k:]
-
-    return solve
+    b = np.concatenate([prob.q, prob.d, np.zeros(n, dtype=complex)])
+    x = lu.solve(b)
+    x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5
+    return x[:n], x[n:n + k], x[n + k:]
 
 
 def _rel_diff(x, y):
@@ -229,9 +220,9 @@ def solve_state(prob, m):
     ``u(m)`` solves the normal equations
     ``(A^H sigma_p^{-1} A + P^H sigma_m^{-1} P) u = A^H sigma_p^{-1} q + P^H sigma_m^{-1} d``;
     it is read off the ``u`` block of the augmented system (see
-    :func:`_joint_solver`), which never forms that normal matrix.
+    :func:`_joint_solve`), which never forms that normal matrix.
     """
-    return _joint_solver(prob, prob.A_builder(m))(prob.q, prob.d)[2]
+    return _joint_solve(prob, prob.A_builder(m))[2]
 
 
 def _joint_value(prob, lam, mu):
@@ -250,7 +241,7 @@ def phi_joint(prob, m):
     ``weighted_residual = sigma_m^{-1} (P u - d) = -mu``. This is the
     oracle the reduced objective is checked against.
     """
-    lam, mu, u = _joint_solver(prob, prob.A_builder(m))(prob.q, prob.d)
+    lam, mu, u = _joint_solve(prob, prob.A_builder(m))
     return ObjectiveReport(_joint_value(prob, lam, mu), prob.P.matvec(u) - prob.d, -mu)
 
 
@@ -265,10 +256,10 @@ def sigma_of_m(prob, m):
 
 
 def _reduced(prob, A):
-    """Reduced objective report at the operator ``A``, with ``u0 = A^{-1} q`` and ``K``."""
+    """The one reduced pass at ``A``: ``(report, u0 = A^{-1} q, G^H, K)``."""
     u0 = A.solve(prob.q)
     r = prob.P.matvec(u0) - prob.d
-    _, K = _sensitivity(prob, A)
+    GH, K = _sensitivity(prob, A)
     try:
         r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
     except NotPositiveDefiniteError as exc:
@@ -280,7 +271,7 @@ def _reduced(prob, A):
         raise IllConditionedError(
             f"reduced objective has imaginary part {z.imag:.3e}"
         )
-    return ObjectiveReport(max(float(z.real), 0.0), r, r_tilde), u0, K
+    return ObjectiveReport(max(float(z.real), 0.0), r, r_tilde), u0, GH, K
 
 
 def phi_reduced(prob, m):
@@ -318,9 +309,7 @@ def phi_equation_error(prob, m):
         raise UnsupportedGeometryError(
             "equation-error form needs a square, invertible sampling operator"
         )
-    A = _dense_A(prob, m)
-    u_data = prob.P.rmatvec(prob.d)
-    r = A @ u_data - prob.q
+    r = prob.A_builder(m).matvec(prob.P.rmatvec(prob.d)) - prob.q
     return ObjectiveReport(
         value=weighted_norm_sq(prob.sigma_p, r),
         residual=r,
@@ -336,8 +325,7 @@ def phi_extended_source(prob, m, f):
     f = np.asarray(f)
     if len(f) != prob.state_dim:
         raise DimensionMismatchError(f"extension must have length {prob.state_dim}")
-    A = _dense_A(prob, m)
-    r = prob.P.matvec(np.linalg.solve(A, prob.q + f)) - prob.d
+    r = prob.P.matvec(prob.A_builder(m).solve(prob.q + f)) - prob.d
     return weighted_norm_sq(prob.sigma_m, r) + weighted_norm_sq(prob.sigma_p, f)
 
 
@@ -347,7 +335,7 @@ def minimize_phi_extended_source(prob, m):
     Returns ``(f_opt, value)``; the minimum value equals the joint
     objective, which is the change-of-variables identity the tests verify.
     """
-    A = _dense_A(prob, m)
+    A = prob.A_builder(m).to_dense()
     Pd = prob.P.to_dense()
     G = np.linalg.solve(A.T, Pd.T.astype(complex)).T  # G = P A^{-1}
     r = G @ prob.q - prob.d
@@ -373,12 +361,10 @@ def phi_contrast_source(prob, m, w, m0):
     w = np.asarray(w)
     if len(w) != prob.state_dim:
         raise DimensionMismatchError(f"contrast source must have length {prob.state_dim}")
-    A = _dense_A(prob, m)
-    A0 = _dense_A(prob, m0)
-    dA = A0 - A
-    u = np.linalg.solve(A0, w + prob.q)
+    A0 = prob.A_builder(m0)
+    u = A0.solve(w + prob.q)
     r_data = prob.P.matvec(u) - prob.d
-    r_proc = dA @ u - w
+    r_proc = A0.matvec(u) - prob.A_builder(m).matvec(u) - w
     return weighted_norm_sq(prob.sigma_m, r_data) + weighted_norm_sq(
         prob.sigma_p, r_proc
     )
@@ -386,8 +372,8 @@ def phi_contrast_source(prob, m, w, m0):
 
 def minimize_phi_contrast_source(prob, m, m0):
     """Dense normal-equation minimizer over the contrast source."""
-    A = _dense_A(prob, m)
-    A0 = _dense_A(prob, m0)
+    A = prob.A_builder(m).to_dense()
+    A0 = prob.A_builder(m0).to_dense()
     dA = A0 - A
     A0_inv = np.linalg.inv(A0)
     H = prob.P.to_dense() @ A0_inv
@@ -408,17 +394,18 @@ def minimize_phi_contrast_source(prob, m, m0):
 def grad_phi(prob, m, variant="adjoint"):
     """Gradient of the reduced objective w.r.t. the medium parameters.
 
-    The default ``"adjoint"`` variant differentiates
-    ``phi = r^H (K + sigma_m)^{-1} r`` exactly, using three auxiliary
-    fields per evaluation from one factorization of ``A``:
+    Both variants read ``u0``, ``r``, ``G^H`` and ``K`` from the reduced pass
+    of :func:`phi_reduced`, so they fail where it fails. The default
+    ``"adjoint"`` variant differentiates ``phi = r^H (K + sigma_m)^{-1} r``
+    exactly, using three auxiliary fields from one factorization of ``A``:
 
         u0 = A^{-1} q
-        v0 = A^{-H} P^H (K + sigma_m)^{-1} (P u0 - d)
+        v0 = G^H r_tilde = A^{-H} P^H (K + sigma_m)^{-1} (P u0 - d)
         w0 = A^{-1} sigma_p v0
         d phi / d m_k = 2 Re < v0, (dA/dm_k) (w0 - u0) >
 
-    so only one extra forward solve beyond the conventional adjoint state
-    is needed, and all k are taken in one ``prob.dA_contract``.
+    so only one forward solve beyond the reduced pass is needed, and all k
+    are taken in one ``prob.dA_contract``.
     ``variant="paper"`` evaluates an alternative form that
     weights the data residual by ``(K^{-1} + sigma_m^{-1})`` and takes
     ``w0 = A^{-1} sigma_p^{-1} v0``; it feeds the ``paper_variant``
@@ -428,15 +415,12 @@ def grad_phi(prob, m, variant="adjoint"):
     if variant not in ("adjoint", "paper"):
         raise RejectedInputError(f"unknown gradient variant {variant!r}")
     A = prob.A_builder(m)
-    u0 = A.solve(prob.q)
-    r = prob.P.matvec(u0) - prob.d
-    GH, K = _sensitivity(prob, A)
+    reduced, u0, GH, K = _reduced(prob, A)
+    r = reduced.residual
 
     if variant == "adjoint":
-        r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
-        v0 = GH @ r_tilde
-        w0 = A.solve(prob.sigma_p.apply(v0))
-        return 2.0 * prob.dA_contract(v0, w0 - u0)
+        v0 = GH @ reduced.weighted_residual
+        return 2.0 * prob.dA_contract(v0, A.solve(prob.sigma_p.apply(v0)) - u0)
 
     weighted = dense_spd_solve(K, r) + prob.sigma_m.solve(r)
     v0 = GH @ weighted
@@ -491,7 +475,7 @@ def verify_matrix_identity(prob, m):
         raise RejectedInputError(
             f"identity check is a dense-regime verifier (n <= {IDENTITY_MAX_N})"
         )
-    A = _dense_A(prob, m)
+    A = prob.A_builder(m).to_dense()
     Pd = prob.P.to_dense().astype(complex)
     G = A.conj().T @ prob.sigma_p.solve(A)
     N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
@@ -507,25 +491,24 @@ def verify_matrix_identity(prob, m):
 def verify_equivalence(prob, m):
     """Compare the joint and reduced objectives at ``m``, with the split identities.
 
-    One operator ``A(m)`` serves the reduced side and the data and process
-    splits; one LU of the augmented system serves the joint side and the
-    state split, whose ``u - u0`` is the joint optimum for the source 0 and
-    the data ``r = d - P u0``.
+    One reduced pass and one augmented solve at ``A(m)``. With
+    ``v0 = G^H r_tilde`` from the reduced pass, the splits check
+    ``u - u0 = -A^{-1} sigma_p v0``, ``P (u - u0) = -K r_tilde`` and the
+    multiplier ``sigma_p lam = sigma_p v0``, not ``A (u - u0)``, whose
+    cancellation ``A`` would multiply by ``||A|| ~ 4/h^2``.
     """
     A = prob.A_builder(m)
-    solve = _joint_solver(prob, A)
-    reduced, u0, K = _reduced(prob, A)
-    lam, mu, u = solve(prob.q, prob.d)
+    lam, mu, u = _joint_solve(prob, A)
+    reduced, u0, GH, K = _reduced(prob, A)
     pj, pr = _joint_value(prob, lam, mu), reduced.value
     v = u - u0
-    r = -reduced.residual  # d - P u0
-    st = -reduced.weighted_residual  # (K + sigma_m)^{-1} r
-    av_expr = prob.sigma_p.apply(A.solve(prob.P.rmatvec(st), adjoint=True))
+    r_tilde = reduced.weighted_residual
+    sp_v0 = prob.sigma_p.apply(GH @ r_tilde)
     return EquivalenceReport(
         phi_joint=pj,
         phi_reduced=pr,
         rel_gap=abs(pj - pr) / (1.0 + pj),
-        state_split_err=_rel_diff(v, solve(np.zeros(prob.state_dim), r)[2]),
-        data_split_err=_rel_diff(prob.P.matvec(v), K @ st),
-        process_split_err=_rel_diff(A.matvec(v), av_expr),
+        state_split_err=_rel_diff(v, -A.solve(sp_v0)),
+        data_split_err=_rel_diff(prob.P.matvec(v), -(K @ r_tilde)),
+        process_split_err=_rel_diff(prob.sigma_p.apply(lam), sp_v0),
     )

@@ -8,7 +8,7 @@ with zero imaginary parts. All adjoints follow the inner product
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
-from scipy.linalg.lapack import zgtcon, zgttrf, zgttrs
+from scipy.linalg.lapack import get_lapack_funcs, zgtcon, zgttrf, zgttrs
 
 from .errors import (
     DimensionMismatchError,
@@ -282,14 +282,23 @@ def _spd_factor(M, what):
         ) from exc
 
 
+def spd_condition(factor, norm_1):
+    """``cond_1`` from the exact ``norm_1`` and the ``pocon`` estimate from ``factor``."""
+    (pocon,) = get_lapack_funcs(("pocon",), (factor[0],))
+    rcond, _ = pocon(factor[0], norm_1, uplo="L")
+    return np.inf if rcond == 0 else 1.0 / rcond
+
+
 def dense_spd_solve(M, b):
     """Cholesky solve of a Hermitian positive definite system.
 
     Accepts vector or matrix right-hand sides. The residual satisfies
     ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
-    the factorization.
+    the factorization; a condition estimate of 1e14 or more raises
+    :class:`IllConditionedError`.
     """
     factor = _spd_factor(M, "matrix")
+    check_condition(spd_condition(factor, np.abs(M).sum(axis=0).max()), "matrix")
     b = np.asarray(b)
     n = factor[0].shape[0]
     if b.shape[0] != n:

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpocon
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .linops import _spd_factor, check_condition
+from .linops import _spd_factor, check_condition, spd_condition
 from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
 
 REGIMES = ("conventional", "extended", "general")
@@ -42,10 +41,14 @@ class ToyConfig:
     floor: float = 1e-6
 
     def __post_init__(self):
-        if not self.c_true > 0:
-            raise RejectedInputError("c_true must be positive")
         dists = tuple(float(r) for r in self.receiver_distances)
         object.__setattr__(self, "receiver_distances", dists)
+        numbers = (self.c_true, self.dt, self.f0, self.t0, self.sigma_m, self.sigma_p,
+                   self.floor, *self.scan, *dists)
+        if not np.all(np.isfinite(numbers)):
+            raise RejectedInputError(f"config values must be finite, got {numbers}")
+        if not self.c_true > 0:
+            raise RejectedInputError("c_true must be positive")
         if any(r <= 0 for r in dists) or len(set(dists)) != len(dists):
             raise RejectedInputError("receiver distances must be positive and distinct")
         if self.nt < 2 or not self.dt > 0:
@@ -145,8 +148,7 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     # estimates from the factor in O(nt^2). The first alone would refuse
     # well-conditioned F at tiny lam, the second alone overstates cond_2.
     bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
-    rcond, _ = dpocon(factor[0], norm_1, uplo="L")
-    cond = bound if rcond == 0 else min(bound, 1.0 / rcond)
+    cond = min(bound, spd_condition(factor, norm_1))
     check_condition(cond, "toy normal matrix")
     shape = (acq.n_receivers, acq.nt)
     f_hat = cho_solve(factor, adjoint_F(c, acq, r.reshape(shape)), check_finite=False)

@@ -87,6 +87,16 @@ class TestConfigHandling:
             ("grad-check", {"grad": {"sigma_m_rel": "x"}}),
             ("grad-check", {"grad": {"fd_step": "x"}}),
             ("grad-check", {"grad": {"data": "bogus"}}),
+            ("scan", {"toy": {"sigma_m": float("inf")}}),
+            ("scan", {"toy": {"sigma_m": float("nan")}}),
+            ("scan", {"toy": {"c_true": float("inf")}}),
+            ("scan", {"toy": {"sigma_p": float("nan")}}),
+            ("scan", {"toy": {"floor": float("inf")}}),
+            ("scan", {"toy": {"t0": float("inf")}}),
+            ("scan", {"toy": {"receiver_distances": [0.8, 1.0, float("inf")]}}),
+            ("scan", {"toy": {"nt": float("inf")}}),
+            ("equiv-check", {"equiv": {"n": float("inf")}}),
+            ("grad-check", {"grad": {"n": float("inf")}}),
         ],
         ids=[
             "toy-nt-1",
@@ -99,6 +109,16 @@ class TestConfigHandling:
             "grad-sigma_m_rel-x",
             "grad-fd_step-x",
             "grad-data-bogus",
+            "toy-sigma_m-inf",
+            "toy-sigma_m-nan",
+            "toy-c_true-inf",
+            "toy-sigma_p-nan",
+            "toy-floor-inf",
+            "toy-t0-inf",
+            "toy-distance-inf",
+            "toy-nt-inf",
+            "equiv-n-inf",
+            "grad-n-inf",
         ],
     )
     def test_rejected_config_value(self, tmp_path, capsys, command, payload):

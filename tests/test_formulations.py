@@ -79,6 +79,38 @@ def assert_joint_side_matches_dense_oracle(prob, m):
     assert abs(phi_joint(prob, m).value - value_ref) <= 1e-12 * value_ref
 
 
+def dense_state_correction(prob, m):
+    """``u - u0 = A^{-1} Sp A^{-H} P^H (K + Sm)^{-1} (d - P u0)`` from dense inverses.
+
+    ``u0 = A^{-1} q`` and ``K = P A^{-1} Sp A^{-H} P^H``; for small n only.
+    """
+    A_inv = np.linalg.inv(prob.A_builder(m).to_dense())
+    Pd = prob.P.to_dense()
+    X = prob.sigma_p.to_dense() @ A_inv.conj().T @ Pd.T
+    K = Pd @ A_inv @ X
+    u0 = A_inv @ prob.q
+    r = prob.d - Pd @ u0
+    return u0, A_inv @ X @ np.linalg.solve(K + prob.sigma_m.to_dense(), r)
+
+
+def two_by_two_problem(eps):
+    """Full sampling of ``A = [[1, 1], [1, 1 + eps]]`` with ``Sp = I``, ``Sm = 1e-300 I``.
+
+    ``K + Sm`` is ``(A^H A)^{-1}`` to rounding, of condition ``~16 / eps^2``,
+    and the joint value is ``||q - A d||^2 = (1 + eps)^2``.
+    """
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+    return Problem(
+        A_builder=lambda m: DenseOperator(A),
+        dA_contract=lambda v, w: np.zeros(2),
+        P=SamplingOperator([0, 1], 2),
+        q=np.array([1.0, 0.0]),
+        d=np.array([0.0, 1.0]),
+        sigma_m=CovarianceSpec.scaled_identity(1e-300, 2),
+        sigma_p=CovarianceSpec.scaled_identity(1.0, 2),
+    )
+
+
 def random_operator_problem(rng, q, d):
     """Problem with a random complex non-Hermitian ``A`` and dense weights."""
     n = len(q)
@@ -137,19 +169,41 @@ class TestSolveState:
     @pytest.mark.parametrize("n", [2048, 100_000])
     def test_equivalence_gap_at_scale(self, n):
         # The gap gate acts as an absolute bound here, where phi is ~1e-3, so
-        # at n = 1e5 the relative gap is gated too (measured 2.4e-8).
+        # at n = 1e5 the relative gap is gated too (measured 2.4e-8). The
+        # split errors are gated at both sizes; at n = 1e5 the process split
+        # measured 1.6e-8 and the largest split (state) 4.3e-7.
         prob, m = grad_default_problem(n)
         pj = phi_joint(prob, m).value
         pr = phi_reduced(prob, m).value
         assert abs(pj - pr) <= 1e-9 * (1.0 + pj)
         if n == 100_000:
             assert abs(pj - pr) <= 1e-7 * pj
+        rep = verify_equivalence(prob, m)
+        assert rep.process_split_err <= 1e-7
+        assert rep.max_intermediate_err <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
+    def test_state_correction_matches_dense_closed_form(self, seed, cov_kind):
+        prob, m = make_helmholtz_instance(seed=60 + seed, cov_kind=cov_kind)
+        u0, expected = dense_state_correction(prob, m)
+        got = solve_state(prob, m) - u0
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_state_correction_matches_dense_closed_form_n200(self):
+        from xfwi.cli import DEFAULT_CONFIG, make_equiv_instances
+
+        settings = {**DEFAULT_CONFIG["equiv"], "n": 200, "instances": 2}
+        for _, prob, m in make_equiv_instances(settings, 12):
+            u0, expected = dense_state_correction(prob, m)
+            got = solve_state(prob, m) - u0
+            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_envelope_gradient_at_n1e5(self):
         # The joint objective is stationary in u, so its gradient is
         # -2 Re <lam, (dA/dm_k) u> with lam from the same augmented solve.
         prob, m = grad_default_problem(100_000)
-        lam, _, u = formulations._joint_solver(prob, prob.A_builder(m))(prob.q, prob.d)
+        lam, _, u = formulations._joint_solve(prob, prob.A_builder(m))
         g = grad_phi(prob, m)
         envelope = -2.0 * prob.dA_contract(lam, u)
         assert np.max(np.abs(envelope - g)) <= 1e-6 * np.max(np.abs(g))
@@ -474,6 +528,21 @@ class TestAppendixForms:
         v2 = phi_contrast_source(scaled_problem(prob, alpha), m, w, m0)
         assert v2 == pytest.approx(v1 / alpha, rel=1e-10)
 
+    def test_objectives_never_materialize_A(self, monkeypatch):
+        # only the dense minimizers and the identity check form A
+        def refuse(self):
+            raise AssertionError("an objective materialized A")
+
+        prob, m = make_helmholtz_instance(seed=37, receivers=range(20))
+        w = np.random.default_rng(38).standard_normal(prob.state_dim) + 0j
+        monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
+        values = [
+            phi_equation_error(prob, m).value,
+            phi_extended_source(prob, m, w),
+            phi_contrast_source(prob, m, w, 1.03 * m),
+        ]
+        assert np.all(np.isfinite(values))
+
 
 class TestVerifiers:
     def test_identity_case_both_sides_half(self):
@@ -569,6 +638,27 @@ class TestVerifiers:
         )
         with pytest.raises(IllConditionedError):
             check(prob, np.ones(3))
+
+    @pytest.mark.parametrize("check", [phi_reduced, grad_phi], ids=lambda f: f.__name__)
+    def test_reduced_guards_shared_by_gradient(self, check):
+        # K + Sm is numerically indefinite at eps = 1e-8: the gradient fails
+        # the way the objective does, through the same reduced pass
+        with pytest.raises(IllConditionedError):
+            check(two_by_two_problem(1e-8), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "check",
+        [phi_reduced, grad_phi, verify_equivalence, fd_gradient],
+        ids=lambda f: f.__name__,
+    )
+    def test_weight_condition_is_checked(self, check):
+        # cond_1(A) = 4e9 passes, but K + Sm has about cond(A)^2 (pocon: 1.6e16);
+        # unchecked, the reduced value read 0.5005 against the exact 1 + 2e-9
+        prob = two_by_two_problem(1e-9)
+        with pytest.raises(IllConditionedError) as excinfo:
+            check(prob, np.ones(2))
+        assert excinfo.value.condition >= 1e14
+        assert abs(phi_joint(prob, np.ones(2)).value - (1.0 + 1e-9) ** 2) <= 1e-8
 
     def test_equivalence_report(self):
         for seed in range(5):

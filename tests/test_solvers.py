@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xfwi import dense_spd_solve
-from xfwi.errors import NotPositiveDefiniteError
+from xfwi.errors import IllConditionedError, NotPositiveDefiniteError
 
 
 def random_spd(n, seed):
@@ -43,6 +43,12 @@ class TestDenseSpdSolve:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    def test_rejects_ill_conditioned(self):
+        # positive definite, so Cholesky succeeds; cond_1 = 1e15
+        with pytest.raises(IllConditionedError) as excinfo:
+            dense_spd_solve(np.diag([1.0, 1e-15]), np.ones(2))
+        assert excinfo.value.condition == pytest.approx(1e15)
 
     @pytest.mark.parametrize(
         "bad",

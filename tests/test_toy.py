@@ -51,6 +51,21 @@ class TestWavelet:
         with pytest.raises(RejectedInputError):
             ToyConfig(receiver_distances=(0.8, 0.8, 1.2))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize(
+        "field",
+        ["c_true", "dt", "f0", "t0", "sigma_m", "sigma_p", "floor",
+         "receiver_distances", "scan"],
+    )
+    def test_non_finite_value_rejected(self, field, value):
+        # sigma_m = inf once scanned to all zeros with status ok
+        kwargs = {
+            "receiver_distances": {field: (0.8, 1.0, value)},
+            "scan": {field: (1.5, 2.5, value)},
+        }.get(field, {field: value})
+        with pytest.raises(RejectedInputError):
+            ToyConfig(**kwargs)
+
 
 class TestSynthesis:
     def test_arrival_times(self):

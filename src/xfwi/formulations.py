@@ -38,7 +38,7 @@ from .linops import (
     CovarianceSpec,
     SamplingOperator,
     TridiagonalOperator,
-    dense_spd_solve,
+    _spd_solve,
     weighted_norm_sq,
 )
 from .wavemodel import medium_values
@@ -261,7 +261,7 @@ def _reduced(prob, A):
     r = prob.P.matvec(u0) - prob.d
     GH, K = _sensitivity(prob, A)
     try:
-        r_tilde = dense_spd_solve(K + prob.sigma_m.to_dense(), r)
+        r_tilde = _spd_solve(K + prob.sigma_m.to_dense(), r, "K + sigma_m")
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             f"weight matrix K + sigma_m is singular to tolerance: {exc}"
@@ -343,7 +343,7 @@ def minimize_phi_extended_source(prob, m):
         np.eye(prob.state_dim, dtype=complex)
     )
     N = 0.5 * (N + N.conj().T)
-    f = dense_spd_solve(N, -(G.conj().T @ prob.sigma_m.solve(r)))
+    f = _spd_solve(N, -(G.conj().T @ prob.sigma_m.solve(r)), "normal matrix")
     return f, phi_extended_source(prob, m, f)
 
 
@@ -383,7 +383,7 @@ def minimize_phi_contrast_source(prob, m, m0):
     N = H.conj().T @ prob.sigma_m.solve(H) + C.conj().T @ prob.sigma_p.solve(C)
     N = 0.5 * (N + N.conj().T)
     rhs = -(H.conj().T @ prob.sigma_m.solve(r0) + C.conj().T @ prob.sigma_p.solve(c0))
-    w = dense_spd_solve(N, rhs)
+    w = _spd_solve(N, rhs, "normal matrix")
     return w, phi_contrast_source(prob, m, w, m0)
 
 
@@ -422,7 +422,7 @@ def grad_phi(prob, m, variant="adjoint"):
         v0 = GH @ reduced.weighted_residual
         return 2.0 * prob.dA_contract(v0, A.solve(prob.sigma_p.apply(v0)) - u0)
 
-    weighted = dense_spd_solve(K, r) + prob.sigma_m.solve(r)
+    weighted = _spd_solve(K, r, "K") + prob.sigma_m.solve(r)
     v0 = GH @ weighted
     w0 = A.solve(prob.sigma_p.solve(v0))
     return -2.0 * prob.dA_contract(u0, v0) + 2.0 * prob.dA_contract(v0, w0)
@@ -481,8 +481,8 @@ def verify_matrix_identity(prob, m):
     N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
     N = 0.5 * (N + N.conj().T)
     Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
-    lhs = dense_spd_solve(N, Pd.conj().T @ Sm_inv)
-    BinvPH = dense_spd_solve(0.5 * (G + G.conj().T), Pd.conj().T)
+    lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
+    BinvPH = _spd_solve(0.5 * (G + G.conj().T), Pd.conj().T, "Gram matrix")
     K = Pd @ BinvPH
     rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))

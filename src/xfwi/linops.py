@@ -7,7 +7,7 @@ with zero imaginary parts. All adjoints follow the inner product
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, lu_solve
 from scipy.linalg.lapack import get_lapack_funcs, zgtcon, zgttrf, zgttrs
 
 from .errors import (
@@ -83,13 +83,17 @@ class DenseOperator(LinearOperator):
     def solve(self, b, adjoint=False):
         """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
 
-        The LU of the matrix is computed on the first call and cached.
+        The LU of the matrix (LAPACK ``getrf``) is computed on the first call
+        and cached; an exactly zero pivot raises :class:`IllConditionedError`.
         ``b`` may hold one right-hand side per column.
         """
         if self._factor is None:
-            lu, piv = lu_factor(self.matrix, check_finite=False)
-            if np.any(np.diagonal(lu) == 0):
-                raise IllConditionedError("operator is singular: zero pivot in its LU")
+            (getrf,) = get_lapack_funcs(("getrf",), (self.matrix,))
+            lu, piv, info = getrf(self.matrix)
+            if info > 0:
+                raise IllConditionedError(
+                    f"operator is singular: zero pivot at row {info} of its LU"
+                )
             self._factor = (lu, piv)
         return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
 
@@ -240,7 +244,12 @@ def check_condition(cond, what):
 
 
 def _check_hermitian(M, what):
-    """Reject ``M`` unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``.
+    """``M`` as a square array, checked finite and Hermitian.
+
+    Rejects a non-square ``M``, and raises :class:`NotPositiveDefiniteError`
+    unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``. The public entry
+    points run this on the matrices callers hand them; the internal callers
+    build theirs Hermitian bit for bit and skip it.
 
     The squared Frobenius norm of ``M - M^H`` is summed over the square
     tiles of its lower block triangle, each off-diagonal tile counted twice
@@ -249,6 +258,9 @@ def _check_hermitian(M, what):
     a NaN entry, or ``inf - inf`` in ``M - M^H``, makes it NaN and rejects.
     An infinite entry makes ``||M||`` infinite, which is rejected too.
     """
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise RejectedInputError(f"{what} must be square")
     asym2 = 0.0
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
         for i in range(0, M.shape[0], _HERMITIAN_BLOCK):
@@ -261,21 +273,22 @@ def _check_hermitian(M, what):
         raise NotPositiveDefiniteError(
             f"{what} is not finite and Hermitian to {_HERMITIAN_RTOL:.0e}"
         )
+    return M
 
 
 def _spd_factor(M, what):
     """Cholesky factor of a Hermitian positive definite matrix, for ``cho_solve``.
 
-    Rejects a non-square ``M``, and raises :class:`NotPositiveDefiniteError`
-    when ``M`` is not finite and Hermitian (see :func:`_check_hermitian`) or
-    not positive definite.
+    Reads only the lower triangle, so ``M`` must be Hermitian; nothing here
+    checks that. The factor overwrites ``M`` whenever LAPACK can work on it
+    directly (a Fortran-ordered array of a LAPACK type), so callers pass
+    arrays they own. Raises :class:`NotPositiveDefiniteError` when the
+    factorization fails, which is the positivity test: a non-positive pivot
+    stops it. A NaN pivot may not, so callers that cannot rule out a
+    non-finite ``M`` take :func:`spd_condition`, which then rejects it.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise RejectedInputError(f"{what} must be square")
-    _check_hermitian(M, what)
     try:
-        return cho_factor(M, lower=True, check_finite=False)
+        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization of the {what} failed: {exc}"
@@ -283,22 +296,28 @@ def _spd_factor(M, what):
 
 
 def spd_condition(factor, norm_1):
-    """``cond_1`` from the exact ``norm_1`` and the ``pocon`` estimate from ``factor``."""
+    """``cond_1`` from the exact ``norm_1`` and the ``pocon`` estimate from ``factor``.
+
+    A NaN or infinite ``norm_1`` (a non-finite matrix) gives ``inf`` or NaN,
+    both of which :func:`check_condition` rejects.
+    """
     (pocon,) = get_lapack_funcs(("pocon",), (factor[0],))
     rcond, _ = pocon(factor[0], norm_1, uplo="L")
     return np.inf if rcond == 0 else 1.0 / rcond
 
 
-def dense_spd_solve(M, b):
-    """Cholesky solve of a Hermitian positive definite system.
+def _spd_solve(M, b, what):
+    """Solve ``M x = b`` for a Hermitian ``M`` that the caller owns and drops.
 
-    Accepts vector or matrix right-hand sides. The residual satisfies
-    ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
-    the factorization; a condition estimate of 1e14 or more raises
-    :class:`IllConditionedError`.
+    The shared solve behind :func:`dense_spd_solve` and the internal
+    callers, which build ``M`` Hermitian bit for bit and so skip
+    :func:`_check_hermitian`. The 1-norm is taken before :func:`_spd_factor`
+    factors ``M``, in place when it can; a ``pocon`` estimate of ``cond_1``
+    of 1e14 or more raises :class:`IllConditionedError`.
     """
-    factor = _spd_factor(M, "matrix")
-    check_condition(spd_condition(factor, np.abs(M).sum(axis=0).max()), "matrix")
+    norm_1 = np.linalg.norm(M, 1)
+    factor = _spd_factor(M, what)
+    check_condition(spd_condition(factor, norm_1), what)
     b = np.asarray(b)
     n = factor[0].shape[0]
     if b.shape[0] != n:
@@ -306,6 +325,20 @@ def dense_spd_solve(M, b):
             f"rhs leading dim {b.shape[0]} does not match matrix dim {n}"
         )
     return cho_solve(factor, b, check_finite=False)
+
+
+def dense_spd_solve(M, b):
+    """Cholesky solve of a Hermitian positive definite system.
+
+    Accepts vector or matrix right-hand sides. ``M`` is checked square,
+    finite and Hermitian, then a copy of it is factored, so the caller's
+    array is never modified. The residual satisfies
+    ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
+    the factorization; a ``pocon`` estimate of ``cond_1`` of 1e14 or more
+    raises :class:`IllConditionedError`.
+    """
+    M = _check_hermitian(M, "matrix")
+    return _spd_solve(np.array(M, order="F"), b, "matrix")
 
 
 def dot_test(op, trials=10, seed=0):
@@ -339,9 +372,13 @@ class CovarianceSpec:
     """Symmetric positive definite weight with apply and solve.
 
     Two kinds: diagonal (a scaled identity ``sigma2 * I`` is the diagonal of
-    equal entries) and dense Hermitian positive definite. Dense matrices are
-    eigenvalue-checked and Cholesky-factored once on construction; the
-    factor is cached for the repeated solves of objective scans.
+    equal entries) and dense Hermitian positive definite. A dense matrix is
+    checked finite and Hermitian, symmetrised, and Cholesky-factored once on
+    construction; a failed factorization rejects it as not positive
+    definite. ``cond`` is the ``pocon`` estimate of ``cond_1`` from that
+    factor (``cond_1`` is at least ``cond_2`` for a Hermitian matrix),
+    checked against the 1e14 limit on every solve; the factor is cached for
+    the repeated solves of objective scans.
     """
 
     DIAGONAL = "diagonal"
@@ -368,19 +405,11 @@ class CovarianceSpec:
 
     @classmethod
     def dense(cls, matrix):
-        M = np.asarray(matrix)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise RejectedInputError("dense covariance must be square")
-        _check_hermitian(M, "dense covariance")
+        M = _check_hermitian(matrix, "dense covariance")
         M = 0.5 * (M + M.conj().T)
-        eigs = np.linalg.eigvalsh(M)
-        if eigs.min() <= 0:
-            raise NotPositiveDefiniteError(
-                f"covariance has non-positive eigenvalue {eigs.min():.3e}"
-            )
-        factor = cho_factor(M, lower=True, check_finite=False)
+        factor = _spd_factor(np.array(M, order="F"), "dense covariance")
         return cls(cls.DENSE, M.shape[0], matrix=M, factor=factor,
-                   cond=float(eigs.max() / eigs.min()))
+                   cond=float(spd_condition(factor, np.linalg.norm(M, 1))))
 
     def _check_dim(self, x):
         x = np.asarray(x)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .linops import _spd_factor, check_condition, spd_condition
+from .linops import _COND_LIMIT, _spd_factor, check_condition, spd_condition
 from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
 
 REGIMES = ("conventional", "extended", "general")
@@ -130,26 +130,32 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
     undefined and raises DegenerateWeightsError. A normal matrix whose
-    condition reaches the library limit raises IllConditionedError.
+    checked condition, ``min(bound, cond_1 estimate)`` (see below), reaches
+    the library limit raises IllConditionedError; the estimate is taken only
+    when the free bound reaches it. The normal matrix is built here,
+    symmetric bit for bit, so it is factored in place without a Hermitian
+    check.
     """
     if sigma_m == 0.0:
         raise DegenerateWeightsError("sigma_m is zero; the misfit is undefined")
     if sigma_p == 0.0:
         return float(r @ r) / sigma_m**2, np.zeros(acq.nt)
     lam = (sigma_m / sigma_p) ** 2
-    normal = _normal_matrix(c, acq)
-    normal[np.diag_indices_from(normal)] += lam
-    norm_1 = np.linalg.norm(normal, 1)
-    factor = _spd_factor(normal, "toy normal matrix")
     # The accuracy of the normal equations is set by cond_2(F^T F + lam I).
     # Two upper bounds on it: ||F^T F|| <= sum_i r_i^-2, since receiver block
     # i of F crops a circulant whose symbol has modulus at most 1 / r_i; and
     # cond_1, which bounds cond_2 of a symmetric matrix and which LAPACK
     # estimates from the factor in O(nt^2). The first alone would refuse
     # well-conditioned F at tiny lam, the second alone overstates cond_2.
+    # The first is free, so the second is taken only when the first fails.
     bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
-    cond = min(bound, spd_condition(factor, norm_1))
-    check_condition(cond, "toy normal matrix")
+    normal = _normal_matrix(c, acq)  # fresh, Fortran-ordered, symmetric bit for bit
+    normal[np.diag_indices_from(normal)] += lam
+    # the 1-norm must be read before the factor overwrites the matrix
+    norm_1 = None if bound < _COND_LIMIT else np.linalg.norm(normal, 1)
+    factor = _spd_factor(normal, "toy normal matrix")
+    if norm_1 is not None:
+        check_condition(min(bound, spd_condition(factor, norm_1)), "toy normal matrix")
     shape = (acq.n_receivers, acq.nt)
     f_hat = cho_solve(factor, adjoint_F(c, acq, r.reshape(shape)), check_finite=False)
     misfit = r - forward_F(c, acq, f_hat).values.ravel()

@@ -27,10 +27,12 @@ from xfwi import (
 )
 from xfwi import formulations
 from xfwi.cli import random_covariance
+from xfwi import linops
 from xfwi.errors import (
     IllConditionedError,
     RejectedInputError,
     UnsupportedGeometryError,
+    XfwiError,
 )
 from xfwi.linops import TridiagonalOperator
 from xfwi.wavemodel import dA_dm
@@ -341,6 +343,16 @@ class TestGradient:
         rel = np.abs(g - fd) / (np.abs(fd) + 1e-9 * (1 + np.abs(fd).max()))
         assert rel.max() <= 1e-5
 
+    @pytest.mark.parametrize("cov_kind", ["diagonal", "dense"])
+    def test_finite_difference_oracle_with_process_weight(self, cov_kind):
+        # sigma_p != I, so the sigma_p in w0 = A^{-1} sigma_p v0 counts; every
+        # cli.gradient_problem instance has sigma_p = I
+        prob, m = make_helmholtz_instance(seed=60, cov_kind=cov_kind)
+        assert not np.allclose(prob.sigma_p.to_dense(), np.eye(prob.state_dim))
+        g = grad_phi(prob, m)
+        fd = fd_gradient(prob, m)
+        assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
+
     def test_vanishing_process_limit_is_adjoint_state(self):
         prob, m = make_helmholtz_instance(seed=15, cov_kind="scaled")
         floor = 1e-8 * np.linalg.norm(prob.d)
@@ -639,6 +651,33 @@ class TestVerifiers:
         with pytest.raises(IllConditionedError):
             check(prob, np.ones(3))
 
+    @pytest.mark.parametrize("receivers", [[1], [0, 1, 2]], ids=["one", "all"])
+    @pytest.mark.parametrize(
+        "order",
+        [(phi_reduced, verify_equivalence), (verify_equivalence, phi_reduced)],
+        ids=["reduced-first", "equivalence-first"],
+    )
+    def test_singular_dense_operator(self, receivers, order):
+        # A = 0 has an exactly zero LU pivot. With one receiver the joint
+        # system is singular too; with all three it is regular, so
+        # verify_equivalence reaches the reduced pass. One operator serves
+        # every call, so a factor cached by the first would reach the second;
+        # under filterwarnings = ["error"] a LinAlgWarning from the LU would
+        # surface here instead of IllConditionedError.
+        A = DenseOperator(np.zeros((3, 3)))
+        prob = Problem(
+            A_builder=lambda m: A,
+            dA_contract=lambda v, w: np.zeros(3),
+            P=SamplingOperator(receivers, 3),
+            q=np.ones(3),
+            d=np.ones(len(receivers)),
+            sigma_m=CovarianceSpec.scaled_identity(1.0, len(receivers)),
+            sigma_p=CovarianceSpec.scaled_identity(1.0, 3),
+        )
+        for check in order:
+            with pytest.raises(IllConditionedError):
+                check(prob, np.ones(3))
+
     @pytest.mark.parametrize("check", [phi_reduced, grad_phi], ids=lambda f: f.__name__)
     def test_reduced_guards_shared_by_gradient(self, check):
         # K + Sm is numerically indefinite at eps = 1e-8: the gradient fails
@@ -685,3 +724,76 @@ class TestVerifiers:
         )
         with pytest.raises(RejectedInputError):
             verify_matrix_identity(big, np.ones(201))
+
+
+class TestFactorizationInputs:
+    """The internal Cholesky sites skip the Hermitian check; pin why that holds."""
+
+    @pytest.fixture
+    def hermitian_inputs(self, monkeypatch):
+        # Records, per call of linops._spd_factor, whether the array it
+        # receives equals its conjugate transpose bit for bit.
+        real = linops._spd_factor
+        seen = []
+
+        def spy(M, what):
+            seen.append(np.array_equal(M, M.conj().T))
+            return real(M, what)
+
+        monkeypatch.setattr(linops, "_spd_factor", spy)
+        return seen
+
+    @pytest.mark.parametrize("cov_kind", ["diagonal", "dense"])
+    @pytest.mark.parametrize(
+        "call, sites",
+        [
+            (phi_reduced, 1),
+            (grad_phi, 1),
+            (lambda prob, m: grad_phi(prob, m, variant="paper"), 2),
+            (verify_equivalence, 1),
+            (verify_matrix_identity, 2),
+            (minimize_phi_extended_source, 1),
+            (lambda prob, m: minimize_phi_contrast_source(prob, m, 1.03 * m), 1),
+        ],
+        ids=["phi_reduced", "grad_adjoint", "grad_paper", "verify_equivalence",
+             "verify_matrix_identity", "minimize_extended", "minimize_contrast"],
+    )
+    def test_sites_receive_exactly_hermitian_arrays(
+        self, hermitian_inputs, cov_kind, call, sites
+    ):
+        prob, m = make_helmholtz_instance(seed=70, cov_kind=cov_kind)
+        hermitian_inputs.clear()  # a dense covariance factors on construction
+        call(prob, m)
+        assert hermitian_inputs == [True] * sites
+
+    @pytest.mark.parametrize(
+        "i, j, value",
+        [(0, 0, np.nan), (1, 1, np.inf), (2, 2, -np.inf), (0, 2, np.nan), (0, 1, np.inf)],
+        ids=["nan-diagonal", "inf-diagonal", "-inf-diagonal", "nan-pair", "inf-pair"],
+    )
+    @pytest.mark.parametrize(
+        "check",
+        [
+            phi_reduced,
+            grad_phi,
+            lambda prob, m: grad_phi(prob, m, variant="paper"),
+            verify_equivalence,
+        ],
+        ids=["phi_reduced", "grad_adjoint", "grad_paper", "verify_equivalence"],
+    )
+    def test_non_finite_weight_matrix_is_rejected(self, monkeypatch, i, j, value, check):
+        # K + sigma_m is factored unchecked; a non-finite entry, placed so the
+        # matrix stays Hermitian, must still end in an error, never a value
+        real = formulations._sensitivity
+
+        def poisoned(prob, A):
+            GH, K = real(prob, A)
+            K = K.copy()
+            K[i, j] = value
+            K[j, i] = np.conj(value)
+            return GH, K
+
+        monkeypatch.setattr(formulations, "_sensitivity", poisoned)
+        prob, m = make_helmholtz_instance(seed=71)
+        with pytest.raises(XfwiError):
+            check(prob, m)

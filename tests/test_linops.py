@@ -167,10 +167,38 @@ class TestCovarianceSpec:
         with pytest.raises(IllConditionedError):
             weighted_norm_sq(cov, [1.0, 1.0])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dense_cond_is_the_cond_1_estimate(self, seed):
+        # pocon's estimate of cond_1 from the factor: at most the exact
+        # cond_1 and, on these matrices, at least cond_2, so the 1e14 gate
+        # is no looser than one on the eigenvalue ratio
+        rng = np.random.default_rng(seed)
+        dim = 40
+        B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        M = B @ B.conj().T / dim + 0.05 * np.eye(dim)
+        cov = CovarianceSpec.dense(M)
+        assert cov.cond <= np.linalg.cond(M, 1) * (1 + 1e-12)
+        assert cov.cond >= np.linalg.cond(M, 2) * (1 - 1e-12)
+
+    def test_dense_leaves_the_callers_array_alone(self):
+        for M in (np.array([[2.0, 1.0], [1.0, 2.0]], order="F"), np.array([[4.0]])):
+            before = M.copy()
+            cov = CovarianceSpec.dense(M)
+            assert np.array_equal(M, before)
+            assert np.array_equal(cov.to_dense(), before)
+
     def test_dim_mismatch(self):
         cov = CovarianceSpec.scaled_identity(1.0, 3)
         with pytest.raises(DimensionMismatchError):
             weighted_norm_sq(cov, [1.0, 2.0])
+
+
+def test_dense_operator_singular_solve_raises_without_warning():
+    # under filterwarnings = ["error"] a LinAlgWarning would surface instead
+    op = DenseOperator(np.zeros((3, 3)))
+    for adjoint in (False, True):
+        with pytest.raises(IllConditionedError):
+            op.solve(np.ones(3), adjoint=adjoint)
 
 
 def test_dense_operator_roundtrip():

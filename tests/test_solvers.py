@@ -36,6 +36,16 @@ class TestDenseSpdSolve:
         relres = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
         assert relres <= 1e-12 * np.linalg.cond(M)
 
+    def test_leaves_the_callers_arrays_alone(self):
+        # a Fortran-ordered M (and a 1 x 1 one) is what a factor in place
+        # would overwrite
+        for M in (np.asfortranarray(random_spd(6, seed=4)), np.array([[4.0]])):
+            b = np.ones(M.shape[0])
+            before = M.copy(), b.copy()
+            x = dense_spd_solve(M, b)
+            assert np.array_equal(M, before[0]) and np.array_equal(b, before[1])
+            assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPositiveDefiniteError):
             dense_spd_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))

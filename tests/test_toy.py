@@ -323,6 +323,54 @@ def test_tiny_lambda_is_not_flagged_when_f_is_well_conditioned():
         assert abs(phi - expected) <= 1e-10 * expected, c
 
 
+@pytest.fixture
+def toy_guards(monkeypatch):
+    # Counts the condition estimates and records, per factorization, whether
+    # the normal matrix is Fortran-ordered and symmetric bit for bit, which
+    # is what factoring it in place without a Hermitian check relies on.
+    real_condition, real_factor = toy.spd_condition, toy._spd_factor
+    guards = {"estimates": 0, "factored": []}
+
+    def condition(factor, norm_1):
+        guards["estimates"] += 1
+        return real_condition(factor, norm_1)
+
+    def factor(M, what):
+        guards["factored"].append(M.flags.f_contiguous and np.array_equal(M, M.T))
+        return real_factor(M, what)
+
+    monkeypatch.setattr(toy, "spd_condition", condition)
+    monkeypatch.setattr(toy, "_spd_factor", factor)
+    return guards
+
+
+@pytest.mark.parametrize("overrides", [{}, {"nt": 1024, "f0": 15.0}], ids=["default", "readme"])
+def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides):
+    # The free bound (sum_i r_i^-2 + lam) / lam does not depend on c, so two
+    # points per regime stand for the full scans of both configs.
+    cfg = ToyConfig(**overrides, scan=(1.6, 2.4, 2))
+    for regime in REGIMES:
+        assert scan_objective(cfg, regime).status == ["ok", "ok"]
+        estimate_extended_source(cfg, 1.8, regime)
+    assert toy_guards["estimates"] == 0
+    # the conventional scan has no extension and factors nothing
+    assert toy_guards["factored"] == [True] * 7
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_normal_matrix_past_double_precision_is_flagged,
+        test_tiny_lambda_is_not_flagged_when_f_is_well_conditioned,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_condition_estimate_taken_when_the_bound_fails(toy_guards, check):
+    check()
+    assert toy_guards["estimates"] == len(toy_guards["factored"]) >= 2
+    assert all(toy_guards["factored"])
+
+
 WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 
 

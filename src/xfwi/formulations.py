@@ -154,7 +154,7 @@ def _sensitivity(prob, A):
 
     One adjoint solve per receiver; ``K`` is returned symmetrised.
     """
-    GH = A.solve(prob.P.to_dense().T, adjoint=True)
+    GH = A.solve(prob.P.dense_adjoint, adjoint=True)
     K = GH.conj().T @ prob.sigma_p.apply(GH)
     return GH, 0.5 * (K + K.conj().T)
 
@@ -260,8 +260,14 @@ def _reduced(prob, A):
     u0 = A.solve(prob.q)
     r = prob.P.matvec(u0) - prob.d
     GH, K = _sensitivity(prob, A)
+    sigma_m = prob.sigma_m
+    if sigma_m.kind == sigma_m.DIAGONAL:
+        W = K.copy()  # C order, so its ravel is a view and the diagonal a stride
+        W.ravel()[:: len(W) + 1] += sigma_m._diag
+    else:
+        W = K + sigma_m.to_dense()
     try:
-        r_tilde = _spd_solve(K + prob.sigma_m.to_dense(), r, "K + sigma_m")
+        r_tilde = _spd_solve(W, r, "K + sigma_m")
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             f"weight matrix K + sigma_m is singular to tolerance: {exc}"

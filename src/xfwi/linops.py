@@ -6,8 +6,10 @@ with zero imaginary parts. All adjoints follow the inner product
 ``<x, y> = sum conj(x_i) * y_i``, which fixes them unambiguously.
 """
 
+from functools import cached_property, lru_cache
+
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_solve
+from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs, zgtcon, zgttrf, zgttrs
 
 from .errors import (
@@ -20,6 +22,16 @@ from .errors import (
 _HERMITIAN_RTOL = 1e-12
 _HERMITIAN_BLOCK = 128  # tile side of the Hermitian check
 _COND_LIMIT = 1e14
+
+
+@lru_cache(maxsize=None)
+def _lapack(name, *dtypes):
+    """The LAPACK routine ``name`` for the common type of ``dtypes``, looked up once.
+
+    The prefix is the one scipy picks from arrays of these dtypes, so a real
+    Cholesky factor with a complex right-hand side takes ``zpotrs``.
+    """
+    return get_lapack_funcs((name,), [np.empty(0, dt) for dt in dtypes])[0]
 
 
 class LinearOperator:
@@ -88,8 +100,7 @@ class DenseOperator(LinearOperator):
         ``b`` may hold one right-hand side per column.
         """
         if self._factor is None:
-            (getrf,) = get_lapack_funcs(("getrf",), (self.matrix,))
-            lu, piv, info = getrf(self.matrix)
+            lu, piv, info = _lapack("getrf", self.matrix.dtype)(self.matrix)
             if info > 0:
                 raise IllConditionedError(
                     f"operator is singular: zero pivot at row {info} of its LU"
@@ -231,6 +242,13 @@ class SamplingOperator(LinearOperator):
         P[np.arange(self.n_receivers), self.receiver_indices] = 1.0
         return P
 
+    @cached_property
+    def dense_adjoint(self):
+        """``P^H = P^T`` as a read-only ``state_dim x n_receivers`` array, built once."""
+        PH = self.to_dense().T
+        PH.flags.writeable = False
+        return PH
+
 
 def check_condition(cond, what):
     """Reject a condition number that is not below ``_COND_LIMIT``.
@@ -277,32 +295,49 @@ def _check_hermitian(M, what):
 
 
 def _spd_factor(M, what):
-    """Cholesky factor of a Hermitian positive definite matrix, for ``cho_solve``.
+    """Lower Cholesky factor of a Hermitian positive definite ``M`` (LAPACK ``potrf``).
 
     Reads only the lower triangle, so ``M`` must be Hermitian; nothing here
     checks that. The factor overwrites ``M`` whenever LAPACK can work on it
     directly (a Fortran-ordered array of a LAPACK type), so callers pass
-    arrays they own. Raises :class:`NotPositiveDefiniteError` when the
-    factorization fails, which is the positivity test: a non-positive pivot
-    stops it. A NaN pivot may not, so callers that cannot rule out a
-    non-finite ``M`` take :func:`spd_condition`, which then rejects it.
+    arrays they own; the strict upper triangle of the result is left as it
+    was. Raises :class:`NotPositiveDefiniteError` when the factorization
+    fails, which is the positivity test: a non-positive pivot stops it. A
+    NaN pivot may not, so callers that cannot rule out a non-finite ``M``
+    take :func:`spd_condition`, which then rejects it. Every Hermitian
+    factorization in the package goes through here.
     """
-    try:
-        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    factor, info = _lapack("potrf", M.dtype)(M, lower=True, clean=False, overwrite_a=True)
+    if info > 0:
         raise NotPositiveDefiniteError(
-            f"Cholesky factorization of the {what} failed: {exc}"
-        ) from exc
+            f"Cholesky factorization of the {what} failed: {info}-th leading "
+            f"minor of the array is not positive definite"
+        )
+    return factor
+
+
+def _potrs(factor, b):
+    """``M^{-1} b`` from the lower Cholesky factor of ``M`` (LAPACK ``potrs``).
+
+    The routine is taken for the common type of ``factor`` and ``b``, so a
+    real ``M`` solves a complex ``b``. ``b`` may hold one right-hand side per
+    column and is never overwritten. Every Hermitian solve in the package
+    goes through here.
+    """
+    b = np.asarray(b)
+    x, _ = _lapack("potrs", factor.dtype, b.dtype)(factor, b, lower=True)
+    return x
 
 
 def spd_condition(factor, norm_1):
     """``cond_1`` from the exact ``norm_1`` and the ``pocon`` estimate from ``factor``.
 
-    A NaN or infinite ``norm_1`` (a non-finite matrix) gives ``inf`` or NaN,
-    both of which :func:`check_condition` rejects.
+    ``factor`` is the lower Cholesky factor from :func:`_spd_factor`, which
+    ``pocon`` reads in O(n^2). A NaN or infinite ``norm_1`` (a non-finite
+    matrix) gives ``inf`` or NaN, both of which :func:`check_condition`
+    rejects.
     """
-    (pocon,) = get_lapack_funcs(("pocon",), (factor[0],))
-    rcond, _ = pocon(factor[0], norm_1, uplo="L")
+    rcond, _ = _lapack("pocon", factor.dtype)(factor, norm_1, uplo="L")
     return np.inf if rcond == 0 else 1.0 / rcond
 
 
@@ -311,20 +346,21 @@ def _spd_solve(M, b, what):
 
     The shared solve behind :func:`dense_spd_solve` and the internal
     callers, which build ``M`` Hermitian bit for bit and so skip
-    :func:`_check_hermitian`. The 1-norm is taken before :func:`_spd_factor`
-    factors ``M``, in place when it can; a ``pocon`` estimate of ``cond_1``
-    of 1e14 or more raises :class:`IllConditionedError`.
+    :func:`_check_hermitian`. The 1-norm (largest column sum) is taken
+    before :func:`_spd_factor` factors ``M``, in place when it can; a
+    ``pocon`` estimate of ``cond_1`` of 1e14 or more raises
+    :class:`IllConditionedError`; :func:`_potrs` then solves.
     """
-    norm_1 = np.linalg.norm(M, 1)
+    norm_1 = np.abs(M).sum(axis=0).max()
     factor = _spd_factor(M, what)
     check_condition(spd_condition(factor, norm_1), what)
     b = np.asarray(b)
-    n = factor[0].shape[0]
+    n = factor.shape[0]
     if b.shape[0] != n:
         raise DimensionMismatchError(
             f"rhs leading dim {b.shape[0]} does not match matrix dim {n}"
         )
-    return cho_solve(factor, b, check_finite=False)
+    return _potrs(factor, b)
 
 
 def dense_spd_solve(M, b):
@@ -430,7 +466,7 @@ class CovarianceSpec:
         if self.kind == self.DIAGONAL:
             return x / self._diag if x.ndim == 1 else x / self._diag[:, None]
         check_condition(self.cond, "covariance")
-        return cho_solve(self._factor, x, check_finite=False)
+        return _potrs(self._factor, x)
 
     def to_dense(self):
         return np.diag(self._diag) if self.kind == self.DIAGONAL else self._matrix

@@ -15,10 +15,9 @@ every solve stays well posed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .linops import _COND_LIMIT, _spd_factor, check_condition, spd_condition
+from .linops import _COND_LIMIT, _potrs, _spd_factor, check_condition, spd_condition
 from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
 
 REGIMES = ("conventional", "extended", "general")
@@ -157,10 +156,10 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     if norm_1 is not None:
         check_condition(min(bound, spd_condition(factor, norm_1)), "toy normal matrix")
     shape = (acq.n_receivers, acq.nt)
-    f_hat = cho_solve(factor, adjoint_F(c, acq, r.reshape(shape)), check_finite=False)
+    f_hat = _potrs(factor, adjoint_F(c, acq, r.reshape(shape)))
     misfit = r - forward_F(c, acq, f_hat).values.ravel()
     correction = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
-    f_hat += cho_solve(factor, correction, check_finite=False)
+    f_hat += _potrs(factor, correction)
     misfit = r - forward_F(c, acq, f_hat).values.ravel()
     phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
     return phi, -f_hat

@@ -797,3 +797,28 @@ class TestFactorizationInputs:
         prob, m = make_helmholtz_instance(seed=71)
         with pytest.raises(XfwiError):
             check(prob, m)
+
+
+def test_lapack_calls_of_one_reduced_objective(monkeypatch):
+    # A deterministic guard on the per-call overhead of the evaluation that
+    # grad-check makes 4n times: one tridiagonal factor, no gtcon (the free
+    # bound settles the check), and one Cholesky factor, condition estimate
+    # and solve of K + sigma_m.
+    prob, m = grad_default_problem(100)
+    calls = {"gttrf": 0, "gtcon": 0, "potrf": 0, "pocon": 0, "potrs": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    real_lapack = linops._lapack
+    monkeypatch.setattr(linops, "zgttrf", counting("gttrf", linops.zgttrf))
+    monkeypatch.setattr(linops, "zgtcon", counting("gtcon", linops.zgtcon))
+    monkeypatch.setattr(
+        linops, "_lapack", lambda name, *dtypes: counting(name, real_lapack(name, *dtypes))
+    )
+    phi_reduced(prob, m)
+    assert calls == {"gttrf": 1, "gtcon": 0, "potrf": 1, "pocon": 1, "potrs": 1}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from xfwi import (
     CovarianceSpec,
@@ -11,7 +12,13 @@ from xfwi import (
     dot_test,
     weighted_norm_sq,
 )
-from xfwi.linops import TridiagonalOperator, _check_hermitian
+from xfwi.linops import (
+    TridiagonalOperator,
+    _check_hermitian,
+    _potrs,
+    _spd_factor,
+    _spd_solve,
+)
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -74,6 +81,52 @@ class TestSamplingOperator:
             SamplingOperator([1, 1], state_dim=4)
         with pytest.raises(RejectedInputError):
             SamplingOperator([4], state_dim=4)
+
+    def test_dense_adjoint_is_cached_and_read_only(self):
+        P = SamplingOperator([4, 0, 2], state_dim=6)
+        PH = P.dense_adjoint
+        assert PH is P.dense_adjoint
+        assert np.array_equal(PH, P.to_dense().T)
+        with pytest.raises(ValueError):
+            PH[0, 0] = 2.0
+
+
+def spd_matrix(n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        B += 1j * rng.standard_normal((n, n))
+    return np.asfortranarray(B @ B.conj().T / n + np.eye(n))
+
+
+class TestSpdHelpers:
+    """``_spd_factor`` and ``_potrs`` call LAPACK directly; scipy's wrappers are the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 200])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix"])
+    @pytest.mark.parametrize("b_dtype", [float, complex])
+    @pytest.mark.parametrize("m_dtype", [float, complex])
+    def test_bit_identical_to_scipy(self, m_dtype, b_dtype, rhs, n):
+        M = spd_matrix(n, m_dtype, seed=n)
+        rng = np.random.default_rng(7)
+        shape = (n,) if rhs == "vector" else (n, 3)
+        b = rng.standard_normal(shape).astype(b_dtype)
+        if b_dtype is complex:
+            b += 1j * rng.standard_normal(shape)
+        expected_factor = cho_factor(M, lower=True)
+        expected = cho_solve(expected_factor, b)
+        factor = _spd_factor(M.copy(order="F"), "matrix")
+        assert np.array_equal(factor, expected_factor[0])
+        assert np.array_equal(_potrs(factor, b), expected)
+        assert np.array_equal(_spd_solve(M.copy(order="F"), b, "matrix"), expected)
+        # a real M with a complex b takes the complex routine, as scipy does
+        assert expected.dtype == np.result_type(M, b)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_not_positive_definite_raises(self, dtype):
+        M = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=dtype, order="F")
+        with pytest.raises(NotPositiveDefiniteError, match="2-th leading minor"):
+            _spd_factor(M, "matrix")
 
 
 class TestCovarianceSpec:

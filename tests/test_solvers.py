@@ -38,9 +38,12 @@ class TestDenseSpdSolve:
 
     def test_leaves_the_callers_arrays_alone(self):
         # a Fortran-ordered M (and a 1 x 1 one) is what a factor in place
-        # would overwrite
-        for M in (np.asfortranarray(random_spd(6, seed=4)), np.array([[4.0]])):
-            b = np.ones(M.shape[0])
+        # would overwrite; the complex one also takes the complex routines
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        hermitian = np.asfortranarray(B @ B.conj().T / 6 + np.eye(6))
+        for M in (np.asfortranarray(random_spd(6, seed=4)), np.array([[4.0]]), hermitian):
+            b = np.ones(M.shape[0], dtype=M.dtype)
             before = M.copy(), b.copy()
             x = dense_spd_solve(M, b)
             assert np.array_equal(M, before[0]) and np.array_equal(b, before[1])

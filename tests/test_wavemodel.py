@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,15 @@ from xfwi import (
     kernel_k,
 )
 from xfwi import linops
-from xfwi.cli import DEFAULT_CONFIG, gradient_problem
-from xfwi.wavemodel import _normal_matrix, _phase_factors, _phase_table, dA_dm
+from xfwi.linops import TridiagonalOperator
+from xfwi.cli import DEFAULT_CONFIG, gradient_problem, main
+from xfwi.wavemodel import (
+    _dominance_bound,
+    _normal_matrix,
+    _phase_factors,
+    _phase_table,
+    dA_dm,
+)
 from xfwi.errors import (
     DimensionMismatchError,
     IllConditionedError,
@@ -71,6 +81,18 @@ class TestAssembly:
         with pytest.raises(DimensionMismatchError):
             assemble_A(model, [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "medium",
+        [[1.0, np.inf, 1.0], [1.0, -np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
+         [[1.0, 1.0, 1.0]]],
+        ids=["inf", "-inf", "zero", "negative", "2-d"],
+    )
+    def test_rejects_each_bad_medium(self, medium):
+        # medium_values reads only the min and the max; each must still reject
+        model = HelmholtzModel1D(n=3, h=1.0, omega=1.0)
+        with pytest.raises(RejectedInputError):
+            assemble_A(model, medium)
+
     def test_boundary_symmetry(self):
         m = np.full(8, 0.3)
         A_d = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "dirichlet"), m).to_dense()
@@ -85,6 +107,25 @@ def grad_instance(n, boundary):
     return gradient_problem(dict(DEFAULT_CONFIG["grad"], boundary=boundary), 0, n=n)
 
 
+def low_frequency_instance():
+    settings = dict(DEFAULT_CONFIG["grad"], boundary="dirichlet", omega=1e-6)
+    return gradient_problem(settings, 0, n=100)
+
+
+@pytest.fixture
+def gtcon_calls(monkeypatch):
+    # The (rcond, info) of every LAPACK gtcon call, in order.
+    real = linops.zgtcon
+    calls = []
+
+    def counting(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(linops, "zgtcon", counting)
+    return calls
+
+
 class TestConditionCheck:
     @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
     @pytest.mark.parametrize("n", [100, 200, 600])
@@ -96,17 +137,98 @@ class TestConditionCheck:
         assert abs(A.condition() - exact) <= 1e-8 * exact
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("n", [100, 200, 600])
+    def test_dominance_bound_is_an_upper_bound(self, n, boundary):
+        # On these media the bound is within 1.92x of the exact value, so it
+        # settles every check with orders of magnitude to spare.
+        prob, m = grad_instance(n, boundary)
+        A = prob.A_builder(m)
+        exact = float(abs(np.linalg.cond(A.to_dense(), 1)))
+        assert exact <= _dominance_bound(A) <= 2.0 * exact
+
+    def test_dominance_bound_never_below_the_exact_one(self):
+        # Margins of 2^-52 to 2^-30 of the column sums, where rounding in
+        # 2 |d_j| - s_j is of the margin's own size; the exact Varah bound of
+        # the stored entries comes from rational arithmetic.
+        rng = np.random.default_rng(0)
+        finite = 0
+        for _ in range(300):
+            lower = -rng.uniform(0.5, 2.0, 5)
+            upper = -rng.uniform(0.5, 2.0, 5)
+            off_sums = np.zeros(6)
+            off_sums[1:] -= upper
+            off_sums[:-1] -= lower
+            diag = off_sums * (1.0 + 2.0 ** rng.uniform(-52, -30, 6))
+            bound = _dominance_bound(TridiagonalOperator(lower, diag, upper))
+            d, l, u = ([Fraction(x) for x in np.abs(v)] for v in (diag, lower, upper))
+            col = [d[0] + l[0]] + [d[j] + u[j - 1] + l[j] for j in range(1, 5)] + [d[5] + u[4]]
+            alpha = min(2 * dj - sj for dj, sj in zip(d, col))
+            if alpha > 0:
+                assert bound >= max(col) / alpha
+            finite += bool(np.isfinite(bound))
+        assert finite >= 50
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
     @pytest.mark.parametrize("n", [50, 600])
-    def test_rejects_ill_conditioned_operator(self, n, boundary):
+    def test_rejects_ill_conditioned_operator(self, gtcon_calls, n, boundary):
         # the diagonal jumps from about 2 n^2 to 1e18 at mid-grid
         model = HelmholtzModel1D(n, h=1.0 / n, omega=1e9, boundary=boundary)
         m = np.where(np.arange(n) < n // 2, 1e-20, 1.0)
         with pytest.raises(IllConditionedError) as info:
             assemble_A(model, m)
         assert info.value.condition > 1e14
+        # the bound fails, so the error carries gtcon's estimate itself
+        ((rcond, _),) = gtcon_calls
+        assert info.value.condition == 1.0 / rcond
 
-    def test_production_path_never_materializes(self, monkeypatch):
-        prob, m = grad_instance(600, "sommerfeld")
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grad": {}},
+            {"equiv": {}},
+            {"equiv": {"n": 200, "instances": 6}, "grad": {"n": 100}},
+        ],
+        ids=["grad-default", "equiv-default", "helm-verify-bench"],
+    )
+    def test_estimate_skipped_while_the_bound_passes(self, gtcon_calls, tmp_path, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides))
+        for command in overrides:
+            argv = [f"{command}-check", "--config", str(config), "--seed", "11",
+                    "--out", str(tmp_path / command)]
+            assert main(argv) == 0
+        assert gtcon_calls == []
+
+    def test_estimate_skipped_at_inversion_size(self, gtcon_calls):
+        # n = 800 is past the size the check runs at
+        prob, m = grad_instance(800, "sommerfeld")
+        phi_reduced(prob, m)
+        grad_phi(prob, m)
+        assert gtcon_calls == []
+
+    def test_estimate_taken_when_the_bound_fails(self, gtcon_calls):
+        # At a vanishing frequency the interior columns are dominant by
+        # omega^2 m, far below rounding, so there is no bound; the operator
+        # is the Dirichlet Laplacian, well conditioned, and is accepted.
+        prob, m = low_frequency_instance()
+        gtcon_calls.clear()  # the data were synthesized with A(m) too
+        A = prob.A_builder(m)
+        assert _dominance_bound(A) == np.inf
+        assert len(gtcon_calls) == 1
+        assert A.condition() == pytest.approx(5.1e3, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "instance, at_assembly",
+        [
+            (lambda: grad_instance(600, "sommerfeld"), 0),
+            (low_frequency_instance, 1),
+        ],
+        ids=["bound-passes", "bound-fails"],
+    )
+    def test_production_path_never_materializes(self, monkeypatch, instance, at_assembly):
+        # Assembly factors only when the bound fails and gtcon needs the
+        # factor; either way each objective or gradient factors A once.
+        prob, m = instance()
 
         def refuse(self):
             raise AssertionError("the production path materialized A")
@@ -120,7 +242,10 @@ class TestConditionCheck:
 
         monkeypatch.setattr(linops.TridiagonalOperator, "to_dense", refuse)
         monkeypatch.setattr(linops, "zgttrf", counting_zgttrf)
-        prob.A_builder(m)  # assemble_A, condition check included
+        A = prob.A_builder(m)  # assemble_A, condition check included
+        assert len(factorizations) == at_assembly
+        A.solve(prob.q)
+        A.solve(prob.q, adjoint=True)
         assert len(factorizations) == 1
         phi_reduced(prob, m)
         assert len(factorizations) == 2

@@ -80,7 +80,7 @@ DEFAULT_CONFIG = {
         "boundary": "sommerfeld",
         "sigma_m_rel": 0.1,
         "data": "perturbed",
-        "fd_step": 1e-4,
+        "fd_step": 1e-3,
     },
 }
 

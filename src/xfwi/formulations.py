@@ -22,7 +22,7 @@ opposite sign appears in some derivations and cancels in every quadratic
 form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ from .linops import (
     CovarianceSpec,
     SamplingOperator,
     TridiagonalOperator,
+    _read_only,
     _spd_solve,
     weighted_norm_sq,
 )
@@ -51,8 +52,11 @@ class Problem:
     """One inversion instance: operator builder, geometry, data, weights.
 
     ``A_builder(m)`` returns the square operator ``A(m)`` (a LinearOperator
-    with ``solve``); ``dA_contract(v, w)`` returns the real vector
-    ``(Re <v, (dA/dm_k) w>)_k`` over all medium parameters at once.
+    with ``solve``) and must be a pure function of ``m``: the problem keeps
+    its last reduced pass, keyed on the medium, and reuses it for the same
+    medium (see :func:`_reduced_at`). ``dA_contract(v, w)`` returns the real
+    vector ``(Re <v, (dA/dm_k) w>)_k`` over all medium parameters at once.
+    ``q`` and ``d`` are kept as read-only complex copies.
     """
 
     A_builder: Callable
@@ -62,10 +66,11 @@ class Problem:
     d: np.ndarray
     sigma_m: CovarianceSpec
     sigma_p: CovarianceSpec
+    _last_pass: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=complex)
-        d = np.asarray(self.d, dtype=complex)
+        q = _read_only(np.array(self.q, dtype=complex))
+        d = _read_only(np.array(self.d, dtype=complex))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         if self.P.state_dim != len(q):
@@ -280,14 +285,41 @@ def _reduced(prob, A):
     return ObjectiveReport(max(float(z.real), 0.0), r, r_tilde), u0, GH, K
 
 
+def _reduced_at(prob, m):
+    """The reduced pass at ``m``, ``(A, report, u0, G^H, K)``, kept on ``prob``.
+
+    ``prob`` keeps one pass, keyed on the shape and bytes of ``m`` as
+    float64; a call at the same medium returns it. Any other medium builds
+    (and so validates and checks) ``A`` and runs :func:`_reduced`, and only
+    then replaces the kept pass, so a failure is never kept and a hit always
+    follows a checked miss. The report's residual arrays, which callers get,
+    are made read-only; no caller writes to ``u0``, ``G^H`` or ``K``, and a
+    read-only flag would not stop LAPACK from doing so (see :func:`grad_phi`).
+    """
+    v = np.asarray(m, dtype=float)
+    key = (v.shape, v.tobytes())
+    last = prob._last_pass
+    if last is not None and last[0] == key:
+        return last[1]
+    A = prob.A_builder(m)
+    report, u0, GH, K = _reduced(prob, A)
+    _read_only(report.residual)
+    _read_only(report.weighted_residual)
+    entry = (A, report, u0, GH, K)
+    object.__setattr__(prob, "_last_pass", (key, entry))
+    return entry
+
+
 def phi_reduced(prob, m):
     """Reduced objective ``r^H (K + sigma_m)^{-1} r``.
 
     Evaluates the residual ``r = P A^{-1} q - d``, solves
     ``(K + sigma_m) r_tilde = r`` by dense Cholesky, and returns
-    ``Re <r, r_tilde>`` with both residual vectors in the report.
+    ``Re <r, r_tilde>`` in a new report with both residual vectors, which
+    are read-only.
     """
-    return _reduced(prob, prob.A_builder(m))[0]
+    rep = _reduced_at(prob, m)[1]
+    return ObjectiveReport(rep.value, rep.residual, rep.weighted_residual)
 
 
 def phi_conventional(prob, m):
@@ -400,8 +432,9 @@ def minimize_phi_contrast_source(prob, m, m0):
 def grad_phi(prob, m, variant="adjoint"):
     """Gradient of the reduced objective w.r.t. the medium parameters.
 
-    Both variants read ``u0``, ``r``, ``G^H`` and ``K`` from the reduced pass
-    of :func:`phi_reduced`, so they fail where it fails. The default
+    Both variants read ``A``, ``u0``, ``r``, ``G^H`` and ``K`` from the reduced
+    pass of :func:`phi_reduced`, so they fail where it fails, and after
+    :func:`phi_reduced` at the same medium they reuse its pass. The default
     ``"adjoint"`` variant differentiates ``phi = r^H (K + sigma_m)^{-1} r``
     exactly, using three auxiliary fields from one factorization of ``A``:
 
@@ -420,15 +453,15 @@ def grad_phi(prob, m, variant="adjoint"):
     """
     if variant not in ("adjoint", "paper"):
         raise RejectedInputError(f"unknown gradient variant {variant!r}")
-    A = prob.A_builder(m)
-    reduced, u0, GH, K = _reduced(prob, A)
+    A, reduced, u0, GH, K = _reduced_at(prob, m)
     r = reduced.residual
 
     if variant == "adjoint":
         v0 = GH @ reduced.weighted_residual
         return 2.0 * prob.dA_contract(v0, A.solve(prob.sigma_p.apply(v0)) - u0)
 
-    weighted = _spd_solve(K, r, "K") + prob.sigma_m.solve(r)
+    # potrf overwrites a Fortran-ordered K (any 1 x 1 one), read-only or not
+    weighted = _spd_solve(np.array(K, order="F"), r, "K") + prob.sigma_m.solve(r)
     v0 = GH @ weighted
     w0 = A.solve(prob.sigma_p.solve(v0))
     return -2.0 * prob.dA_contract(u0, v0) + 2.0 * prob.dA_contract(v0, w0)
@@ -439,12 +472,14 @@ def fd_gradient(prob, m, rel_step=1e-4):
 
     The step is scaled per component, and the two-step Richardson
     extrapolation ``(4 g(h/2) - g(h)) / 3`` cancels the leading truncation
-    term, which the verification harness relies on.
+    term, which the verification harness relies on. Each of the ``4 n``
+    perturbed media is evaluated once, by the reduced pass itself, so they
+    neither pay for the kept pass of :func:`_reduced_at` nor replace it.
     """
     v = medium_values(m).copy()
 
     def value_at(vec):
-        return phi_reduced(prob, vec).value
+        return _reduced(prob, prob.A_builder(vec))[0].value
 
     def central(k, step):
         vp = v.copy()
@@ -497,15 +532,14 @@ def verify_matrix_identity(prob, m):
 def verify_equivalence(prob, m):
     """Compare the joint and reduced objectives at ``m``, with the split identities.
 
-    One reduced pass and one augmented solve at ``A(m)``. With
-    ``v0 = G^H r_tilde`` from the reduced pass, the splits check
-    ``u - u0 = -A^{-1} sigma_p v0``, ``P (u - u0) = -K r_tilde`` and the
-    multiplier ``sigma_p lam = sigma_p v0``, not ``A (u - u0)``, whose
+    One reduced pass (the kept one, at the same medium) and one augmented
+    solve at ``A(m)``. With ``v0 = G^H r_tilde`` from the reduced pass, the
+    splits check ``u - u0 = -A^{-1} sigma_p v0``, ``P (u - u0) = -K r_tilde``
+    and the multiplier ``sigma_p lam = sigma_p v0``, not ``A (u - u0)``, whose
     cancellation ``A`` would multiply by ``||A|| ~ 4/h^2``.
     """
-    A = prob.A_builder(m)
+    A, reduced, u0, GH, K = _reduced_at(prob, m)
     lam, mu, u = _joint_solve(prob, A)
-    reduced, u0, GH, K = _reduced(prob, A)
     pj, pr = _joint_value(prob, lam, mu), reduced.value
     v = u - u0
     r_tilde = reduced.weighted_residual

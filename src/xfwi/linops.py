@@ -34,6 +34,16 @@ def _lapack(name, *dtypes):
     return get_lapack_funcs((name,), [np.empty(0, dt) for dt in dtypes])[0]
 
 
+def _read_only(a):
+    """``a``, marked read-only so numpy refuses writes to it; returns ``a``.
+
+    The flag does not stop LAPACK: an ``overwrite_a`` call may still write
+    into an array it can use in place, so such calls get a copy.
+    """
+    a.setflags(write=False)
+    return a
+
+
 class LinearOperator:
     """Base class for matrix-free operators.
 
@@ -205,11 +215,12 @@ class SamplingOperator(LinearOperator):
     """Selection of state entries, one unit entry per row.
 
     Rows pick pairwise-distinct state indices, so ``P P^T = I`` on the
-    receiver space and the adjoint is a scatter.
+    receiver space and the adjoint is a scatter. The indices are kept as a
+    read-only copy, so the caller's array may change without changing ``P``.
     """
 
     def __init__(self, receiver_indices, state_dim):
-        idx = np.asarray(receiver_indices, dtype=int).ravel()
+        idx = _read_only(np.array(receiver_indices, dtype=int).ravel())
         state_dim = int(state_dim)
         if idx.size == 0:
             raise RejectedInputError("sampling operator needs at least one index")
@@ -245,9 +256,7 @@ class SamplingOperator(LinearOperator):
     @cached_property
     def dense_adjoint(self):
         """``P^H = P^T`` as a read-only ``state_dim x n_receivers`` array, built once."""
-        PH = self.to_dense().T
-        PH.flags.writeable = False
-        return PH
+        return _read_only(self.to_dense().T)
 
 
 def check_condition(cond, what):
@@ -414,7 +423,8 @@ class CovarianceSpec:
     definite. ``cond`` is the ``pocon`` estimate of ``cond_1`` from that
     factor (``cond_1`` is at least ``cond_2`` for a Hermitian matrix),
     checked against the 1e14 limit on every solve; the factor is cached for
-    the repeated solves of objective scans.
+    the repeated solves of objective scans. The diagonal, the matrix and its
+    factor are read-only arrays the weight owns, never the caller's.
     """
 
     DIAGONAL = "diagonal"
@@ -434,7 +444,7 @@ class CovarianceSpec:
 
     @classmethod
     def diagonal(cls, values):
-        v = np.asarray(values, dtype=float)
+        v = _read_only(np.array(values, dtype=float))
         if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise NotPositiveDefiniteError("diagonal entries must be finite and > 0")
         return cls(cls.DIAGONAL, len(v), diag=v)
@@ -442,8 +452,8 @@ class CovarianceSpec:
     @classmethod
     def dense(cls, matrix):
         M = _check_hermitian(matrix, "dense covariance")
-        M = 0.5 * (M + M.conj().T)
-        factor = _spd_factor(np.array(M, order="F"), "dense covariance")
+        M = _read_only(0.5 * (M + M.conj().T))
+        factor = _read_only(_spd_factor(np.array(M, order="F"), "dense covariance"))
         return cls(cls.DENSE, M.shape[0], matrix=M, factor=factor,
                    cond=float(spd_condition(factor, np.linalg.norm(M, 1))))
 

@@ -224,10 +224,18 @@ class TestGradCheck:
         assert all(float(r[3]) <= 1e-4 for r in rows)
 
     def test_n100_seed2_passes(self, tmp_path):
-        # step-1e-4 differences resolve the gradient at n = 100 to the 1e-4 bound
         cfg = write_config(tmp_path, {"grad": {"n": 100}})
         out = tmp_path / "out"
         assert main(["grad-check", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("seed", [12, 42])
+    def test_n100_passes_with_a_small_component(self, tmp_path, seed):
+        # Component k = 1 is ~1e-7 against max|g| ~ 1.6e-3. Differences at a
+        # step of 1e-4 missed it by 1.6e-4 (seed 12) and 1.0e-4 (seed 42),
+        # from rounding in phi; at the default step of 1e-3, by 1.4e-5 and 6.3e-6
+        cfg = write_config(tmp_path, {"grad": {"n": 100}})
+        out = tmp_path / "out"
+        assert main(["grad-check", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
 
     def test_consistent_data_gradient_vanishes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 10, "data": "consistent"}})

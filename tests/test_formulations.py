@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -822,3 +824,170 @@ def test_lapack_calls_of_one_reduced_objective(monkeypatch):
     )
     phi_reduced(prob, m)
     assert calls == {"gttrf": 1, "gtcon": 0, "potrf": 1, "pocon": 1, "potrs": 1}
+
+
+def evaluations(prob, m):
+    """Every reduced-side result at ``m`` as bytes, in the order an iterate takes them."""
+    rep = phi_reduced(prob, m)
+    parts = [rep.value, rep.residual, rep.weighted_residual,
+             grad_phi(prob, m), grad_phi(prob, m, variant="paper")]
+    eq = verify_equivalence(prob, m)
+    parts += [eq.phi_reduced, eq.state_split_err, eq.data_split_err, eq.process_split_err]
+    return [np.asarray(p).tobytes() for p in parts]
+
+
+def fresh(prob):
+    """The same problem with nothing kept from earlier evaluations."""
+    return dataclasses.replace(prob)
+
+
+def mutable_instance(n=40, receivers=(5, 20, 33)):
+    """A Helmholtz problem built from arrays the test keeps and may change later."""
+    rng = np.random.default_rng(5)
+    model = HelmholtzModel1D(n=n, h=1.0 / n, omega=6.0, boundary="sommerfeld")
+    arrays = {
+        "m": 0.25 + 0.05 * rng.random(n),
+        "q": rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        "d": rng.standard_normal(len(receivers)) + 1j * rng.standard_normal(len(receivers)),
+        "diag": 0.5 + rng.random(len(receivers)),
+        "receivers": np.array(receivers),
+    }
+    prob = helmholtz_problem(
+        model, arrays["receivers"], arrays["q"], arrays["d"],
+        CovarianceSpec.diagonal(arrays["diag"]), CovarianceSpec.scaled_identity(1.0, n),
+    )
+    return prob, arrays
+
+
+class TestReducedPassCache:
+    """The problem keeps its last reduced pass; a hit must be indistinguishable."""
+
+    @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
+    def test_hits_are_bit_identical_to_a_fresh_problem(self, cov_kind):
+        prob, m = make_helmholtz_instance(seed=81, cov_kind=cov_kind)
+        first = evaluations(prob, m)
+        assert evaluations(prob, m) == first
+        assert evaluations(fresh(prob), m) == first
+        # and each entry point alone, from an empty problem
+        rep = phi_reduced(fresh(prob), m)
+        assert rep.value == np.frombuffer(first[0])[0]
+        g = grad_phi(fresh(prob), m)
+        assert g.tobytes() == first[3]
+        assert grad_phi(fresh(prob), m, variant="paper").tobytes() == first[4]
+
+    def test_gradient_after_objective_reuses_its_pass(self):
+        prob, m = grad_default_problem(100)
+        builds = []
+
+        def counting(mk):
+            builds.append(1)
+            return prob.A_builder(mk)
+
+        counted = dataclasses.replace(prob, A_builder=counting)
+        phi_reduced(counted, m)
+        grad_phi(counted, m)
+        grad_phi(counted, m, variant="paper")
+        verify_equivalence(counted, m)
+        assert len(builds) == 1
+
+    def test_one_entry_only(self):
+        prob, m = grad_default_problem(100)
+        m2 = m * 1.01
+        builds = []
+
+        def counting(mk):
+            builds.append(1)
+            return prob.A_builder(mk)
+
+        counted = dataclasses.replace(prob, A_builder=counting)
+        phi_reduced(counted, m)
+        phi_reduced(counted, m2)
+        g = grad_phi(counted, m)  # m2 replaced the pass at m
+        assert len(builds) == 3
+        assert g.tobytes() == grad_phi(fresh(prob), m).tobytes()
+
+    def test_finite_differences_leave_the_kept_pass(self):
+        prob, m = grad_default_problem(20)
+        phi_reduced(prob, m)
+        kept = prob._last_pass
+        fd_gradient(prob, m)
+        assert prob._last_pass is kept
+
+    def test_replace_starts_empty_and_repr_hides_the_pass(self):
+        prob, m = grad_default_problem(20)
+        phi_reduced(prob, m)
+        assert prob._last_pass is not None
+        assert fresh(prob)._last_pass is None
+        assert "_last_pass" not in repr(prob)
+        slot = {f.name: f for f in dataclasses.fields(Problem)}["_last_pass"]
+        assert not (slot.init or slot.repr or slot.compare)
+
+    def test_same_bytes_other_shape_is_a_miss(self):
+        prob, m = grad_default_problem(20)
+        phi_reduced(prob, m)
+        with pytest.raises(RejectedInputError):
+            phi_reduced(prob, m.reshape(4, 5))
+
+    def test_report_arrays_are_read_only_and_reports_fresh(self):
+        prob, m = grad_default_problem(20)
+        rep = phi_reduced(prob, m)
+        value = rep.value
+        for a in (rep.residual, rep.weighted_residual):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        rep.value = -1.0
+        rep.residual = np.zeros(3)
+        again = phi_reduced(prob, m)
+        assert again is not rep
+        assert again.value == value
+        assert again.residual.tobytes() == phi_reduced(fresh(prob), m).residual.tobytes()
+
+    def test_paper_variant_leaves_a_one_receiver_pass_intact(self):
+        # K is 1 x 1, so Fortran-ordered; potrf would factor it in place
+        # through the read-only flag if the paper variant passed it directly
+        prob, arrays = mutable_instance(receivers=(17,))
+        m = arrays["m"]
+        results = [grad_phi(prob, m, variant="paper"), grad_phi(prob, m, variant="paper"),
+                   grad_phi(prob, m)]
+        expected = [grad_phi(fresh(prob), m, variant="paper"),
+                    grad_phi(fresh(prob), m, variant="paper"),
+                    grad_phi(fresh(prob), m)]
+        assert [g.tobytes() for g in results] == [g.tobytes() for g in expected]
+
+    @pytest.mark.parametrize("name", ["m", "q", "d", "diag", "receivers"])
+    def test_callers_arrays_cannot_reach_a_later_result(self, name):
+        prob, arrays = mutable_instance()
+        m = arrays["m"]
+        before = evaluations(prob, m)
+        clean, _ = mutable_instance()
+        if name == "receivers":
+            arrays[name][0] = 7
+        else:
+            arrays[name][0] *= 1.5
+        if name == "m":
+            # a changed medium is a new medium: a miss, computed afresh
+            assert evaluations(prob, m) == evaluations(clean, m)
+            assert evaluations(prob, m) != before
+        else:
+            assert evaluations(prob, m) == before
+            assert evaluations(prob, m) == evaluations(clean, m)
+        assert not np.shares_memory(clean.q, arrays["q"])
+
+    def test_rejected_medium_raises_on_every_call(self):
+        prob, m = grad_default_problem(20)
+        bad = m.copy()
+        bad[3] = -0.25
+        for check in (phi_reduced, grad_phi, phi_reduced, verify_equivalence, grad_phi):
+            with pytest.raises(RejectedInputError):
+                check(prob, bad)
+        phi_reduced(prob, m)
+        with pytest.raises(RejectedInputError):
+            grad_phi(prob, bad)
+        assert prob._last_pass is not None  # the pass at m is kept
+
+    def test_ill_conditioned_weight_raises_on_every_call(self):
+        prob = two_by_two_problem(1e-9)
+        for check in (phi_reduced, phi_reduced, grad_phi, verify_equivalence, grad_phi):
+            with pytest.raises(IllConditionedError):
+                check(prob, np.ones(2))
+        assert prob._last_pass is None

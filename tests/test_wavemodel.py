@@ -227,7 +227,8 @@ class TestConditionCheck:
     )
     def test_production_path_never_materializes(self, monkeypatch, instance, at_assembly):
         # Assembly factors only when the bound fails and gtcon needs the
-        # factor; either way each objective or gradient factors A once.
+        # factor; either way each new medium factors A once, and the gradient
+        # at the medium of the last objective reuses that objective's factor.
         prob, m = instance()
 
         def refuse(self):
@@ -250,6 +251,11 @@ class TestConditionCheck:
         phi_reduced(prob, m)
         assert len(factorizations) == 2
         grad_phi(prob, m)
+        assert len(factorizations) == 2
+        m2 = m * (1.0 + 1e-3)
+        grad_phi(prob, m2)
+        assert len(factorizations) == 3
+        phi_reduced(prob, m2)
         assert len(factorizations) == 3
 
 

@@ -66,7 +66,6 @@ from .wavemodel import (
     KernelPanels,
     adjoint_F,
     assemble_A,
-    dense_forward_matrix,
     forward_F,
     forward_operator,
     kernel_k,

@@ -80,7 +80,6 @@ DEFAULT_CONFIG = {
         "boundary": "sommerfeld",
         "sigma_m_rel": 0.1,
         "data": "perturbed",
-        "fd_step": 1e-3,
     },
 }
 
@@ -175,7 +174,7 @@ def _check_grad(sec):
         HelmholtzModel1D(
             n=n, h=1.0 / n, omega=float(sec["omega"]), boundary=sec["boundary"]
         )
-        positive = {key: float(sec[key]) for key in ("sigma_m_rel", "fd_step")}
+        positive = {"sigma_m_rel": float(sec["sigma_m_rel"])}
     except (TypeError, ValueError, ArithmeticError) as exc:  # n = 0 or int(inf)
         raise ConfigError(f"grad: {exc}") from exc
     _check_positive("grad", positive)
@@ -344,29 +343,17 @@ def cmd_equiv_check(args, cfg, out, manifest):
 def cmd_grad_check(args, cfg, out, manifest):
     prob, m = gradient_problem(cfg["grad"], args.seed)
     analytic = grad_phi(prob, m)
-    fd = fd_gradient(prob, m, rel_step=float(cfg["grad"]["fd_step"]))
-    paper = grad_phi(prob, m, variant="paper")
+    fd = fd_gradient(prob, m)
     floor = 1e-9 * (1.0 + np.max(np.abs(fd)))
     rel = np.abs(analytic - fd) / (np.abs(fd) + floor)
-    rel_paper = np.abs(paper - fd) / (np.abs(fd) + floor)
     write_csv(
         out / "gradient.csv",
-        [
-            "component_k",
-            "analytic",
-            "fd_central",
-            "rel_err",
-            "paper_variant",
-            "paper_variant_rel_err",
-        ],
-        [np.arange(len(analytic)), analytic, fd, rel, paper, rel_paper],
+        ["component_k", "analytic", "fd_central", "rel_err"],
+        [np.arange(len(analytic)), analytic, fd, rel],
     )
     ok = bool(np.all(rel <= 1e-4))
     manifest.status = "ok" if ok else "failed"
-    print(
-        f"grad-check: n={len(analytic)}, max rel err {rel.max():.3e}, "
-        f"paper-variant max rel err {rel_paper.max():.3e}"
-    )
+    print(f"grad-check: n={len(analytic)}, max rel err {rel.max():.3e}")
     return 0 if ok else 1
 
 

@@ -45,6 +45,7 @@ from .linops import (
 from .wavemodel import medium_values
 
 IDENTITY_MAX_N = 200  # largest n of the dense, entrywise identity check
+_FD_STEP = 1e-3  # relative step of fd_gradient, scaled per component
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,7 @@ def _reduced_at(prob, m):
     (and so validates and checks) ``A`` and runs :func:`_reduced`, and only
     then replaces the kept pass, so a failure is never kept and a hit always
     follows a checked miss. The report's residual arrays, which callers get,
-    are made read-only; no caller writes to ``u0``, ``G^H`` or ``K``, and a
-    read-only flag would not stop LAPACK from doing so (see :func:`grad_phi`).
+    are made read-only; no caller writes to ``u0``, ``G^H`` or ``K``.
     """
     v = np.asarray(m, dtype=float)
     key = (v.shape, v.tobytes())
@@ -429,14 +429,14 @@ def minimize_phi_contrast_source(prob, m, m0):
 # gradient
 
 
-def grad_phi(prob, m, variant="adjoint"):
+def grad_phi(prob, m):
     """Gradient of the reduced objective w.r.t. the medium parameters.
 
-    Both variants read ``A``, ``u0``, ``r``, ``G^H`` and ``K`` from the reduced
-    pass of :func:`phi_reduced`, so they fail where it fails, and after
-    :func:`phi_reduced` at the same medium they reuse its pass. The default
-    ``"adjoint"`` variant differentiates ``phi = r^H (K + sigma_m)^{-1} r``
-    exactly, using three auxiliary fields from one factorization of ``A``:
+    Reads ``A``, ``u0``, ``r``, ``G^H`` and ``K`` from the reduced pass of
+    :func:`phi_reduced`, so it fails where that fails, and after
+    :func:`phi_reduced` at the same medium it reuses its pass. It
+    differentiates ``phi = r^H (K + sigma_m)^{-1} r`` exactly, using three
+    auxiliary fields from one factorization of ``A``:
 
         u0 = A^{-1} q
         v0 = G^H r_tilde = A^{-H} P^H (K + sigma_m)^{-1} (P u0 - d)
@@ -445,36 +445,20 @@ def grad_phi(prob, m, variant="adjoint"):
 
     so only one forward solve beyond the reduced pass is needed, and all k
     are taken in one ``prob.dA_contract``.
-    ``variant="paper"`` evaluates an alternative form that
-    weights the data residual by ``(K^{-1} + sigma_m^{-1})`` and takes
-    ``w0 = A^{-1} sigma_p^{-1} v0``; it feeds the ``paper_variant``
-    comparison column of gradient reports and does not match finite
-    differences.
     """
-    if variant not in ("adjoint", "paper"):
-        raise RejectedInputError(f"unknown gradient variant {variant!r}")
-    A, reduced, u0, GH, K = _reduced_at(prob, m)
-    r = reduced.residual
-
-    if variant == "adjoint":
-        v0 = GH @ reduced.weighted_residual
-        return 2.0 * prob.dA_contract(v0, A.solve(prob.sigma_p.apply(v0)) - u0)
-
-    # potrf overwrites a Fortran-ordered K (any 1 x 1 one), read-only or not
-    weighted = _spd_solve(np.array(K, order="F"), r, "K") + prob.sigma_m.solve(r)
-    v0 = GH @ weighted
-    w0 = A.solve(prob.sigma_p.solve(v0))
-    return -2.0 * prob.dA_contract(u0, v0) + 2.0 * prob.dA_contract(v0, w0)
+    A, reduced, u0, GH, _ = _reduced_at(prob, m)
+    v0 = GH @ reduced.weighted_residual
+    return 2.0 * prob.dA_contract(v0, A.solve(prob.sigma_p.apply(v0)) - u0)
 
 
-def fd_gradient(prob, m, rel_step=1e-4):
+def fd_gradient(prob, m):
     """Central finite differences of the reduced objective, per component.
 
-    The step is scaled per component, and the two-step Richardson
-    extrapolation ``(4 g(h/2) - g(h)) / 3`` cancels the leading truncation
-    term, which the verification harness relies on. Each of the ``4 n``
-    perturbed media is evaluated once, by the reduced pass itself, so they
-    neither pay for the kept pass of :func:`_reduced_at` nor replace it.
+    The step is ``_FD_STEP = 1e-3`` scaled per component, and the two-step
+    Richardson extrapolation ``(4 g(h/2) - g(h)) / 3`` cancels the leading
+    truncation term, which the verification harness relies on. Each of the
+    ``4 n`` perturbed media is evaluated once, by the reduced pass itself, so
+    they neither pay for the kept pass of :func:`_reduced_at` nor replace it.
     """
     v = medium_values(m).copy()
 
@@ -490,7 +474,7 @@ def fd_gradient(prob, m, rel_step=1e-4):
 
     g = np.empty(len(v))
     for k in range(len(v)):
-        step = rel_step * (abs(v[k]) + 1e-2)
+        step = _FD_STEP * (abs(v[k]) + 1e-2)
         g[k] = (4.0 * central(k, step / 2.0) - central(k, step)) / 3.0
     return g
 

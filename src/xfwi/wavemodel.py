@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,6 @@ from .errors import (
     SingularGeometryError,
 )
 from .linops import (
-    DenseOperator,
     FunctionOperator,
     TridiagonalOperator,
     _COND_LIMIT,
@@ -236,19 +234,6 @@ def _dominance_bound(A):
     return col.max() / alpha if alpha > 0 else np.inf
 
 
-def dA_dm(model, k):
-    """Derivative of the assembled operator w.r.t. ``m_k``: ``omega^2 e_k e_k^T``.
-
-    A dense per-k reference for the tests; the gradient contracts all k at
-    once instead (``Problem.dA_contract``).
-    """
-    if not 0 <= k < model.n:
-        raise RejectedInputError(f"index {k} out of range for n = {model.n}")
-    D = np.zeros((model.n, model.n))
-    D[k, k] = model.omega**2
-    return DenseOperator(D)
-
-
 # ---------------------------------------------------------------------------
 # Analytic constant-velocity propagator
 
@@ -401,27 +386,6 @@ def forward_operator(c, acq):
         )
 
     return FunctionOperator(nrec * nt, nt, mv, rmv)
-
-
-def dense_forward_matrix(c, acq):
-    """Materialize the propagator as a real ``(n_rec * nt, nt)`` matrix.
-
-    Each receiver block is the leading ``nt x nt`` crop of the circulant
-    delay kernel on the padded grid, so assembly costs one FFT per receiver
-    instead of one per column. Identical to applying :func:`forward_F` to
-    basis vectors, to roundoff. It has no production caller: the toy applies
-    F matrix-free and builds ``F^T F`` with ``_normal_matrix``; this dense
-    form is the tests' oracle for both and for the adjoint dot test.
-    """
-    _check_forward_inputs(c, acq)
-    phases, N = _phase_factors(c, acq)
-    nt = acq.nt
-    F = np.empty((acq.n_receivers * nt, nt))
-    row_idx = (-np.arange(nt)) % N
-    for i in range(acq.n_receivers):
-        ker = np.fft.ifft(phases[i]).real
-        F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
-    return F
 
 
 def kernel_k(c, acq):

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
-from xfwi import CovarianceSpec, HelmholtzModel1D, helmholtz_problem
+from xfwi import (
+    CovarianceSpec,
+    DenseOperator,
+    HelmholtzModel1D,
+    RejectedInputError,
+    helmholtz_problem,
+)
 from xfwi.cli import random_covariance
+from xfwi.wavemodel import _check_forward_inputs, _phase_factors
 
 
 def make_helmholtz_instance(
@@ -50,6 +58,44 @@ def scaled_problem(prob, alpha):
         sigma_m=CovarianceSpec.dense(alpha * prob.sigma_m.to_dense()),
         sigma_p=CovarianceSpec.dense(alpha * prob.sigma_p.to_dense()),
     )
+
+
+# ---------------------------------------------------------------------------
+# dense oracles of the operators the package only applies
+
+
+def dA_dm(model, k):
+    """Derivative of the assembled operator w.r.t. ``m_k``: ``omega^2 e_k e_k^T``.
+
+    A dense per-k reference for the tests; the gradient contracts all k at
+    once instead (``Problem.dA_contract``).
+    """
+    if not 0 <= k < model.n:
+        raise RejectedInputError(f"index {k} out of range for n = {model.n}")
+    D = np.zeros((model.n, model.n))
+    D[k, k] = model.omega**2
+    return DenseOperator(D)
+
+
+def dense_forward_matrix(c, acq):
+    """Materialize the propagator as a real ``(n_rec * nt, nt)`` matrix.
+
+    Each receiver block is the leading ``nt x nt`` crop of the circulant
+    delay kernel on the padded grid, so assembly costs one FFT per receiver
+    instead of one per column. Identical to applying :func:`forward_F` to
+    basis vectors, to roundoff. It has no production caller: the toy applies
+    F matrix-free and builds ``F^T F`` with ``_normal_matrix``; this dense
+    form is the tests' oracle for both and for the adjoint dot test.
+    """
+    _check_forward_inputs(c, acq)
+    phases, N = _phase_factors(c, acq)
+    nt = acq.nt
+    F = np.empty((acq.n_receivers * nt, nt))
+    row_idx = (-np.arange(nt)) % N
+    for i in range(acq.n_receivers):
+        ker = np.fft.ifft(phases[i]).real
+        F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
+    return F
 
 
 @pytest.fixture

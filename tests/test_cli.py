@@ -207,21 +207,15 @@ class TestEquivCheck:
 
 
 class TestGradCheck:
-    def test_small_run_passes(self, tmp_path):
-        cfg = write_config(tmp_path, {"grad": {"n": 10}})
+    def test_small_run_passes(self, tmp_path, capsys):
+        # the default config: n = 20, seed 42
         out = tmp_path / "out"
-        assert main(["grad-check", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["grad-check", "--seed", "42", "--out", str(out)]) == 0
         header, rows = read_csv(out / "gradient.csv")
-        assert header == [
-            "component_k",
-            "analytic",
-            "fd_central",
-            "rel_err",
-            "paper_variant",
-            "paper_variant_rel_err",
-        ]
-        assert len(rows) == 10
+        assert header == ["component_k", "analytic", "fd_central", "rel_err"]
+        assert len(rows) == 20
         assert all(float(r[3]) <= 1e-4 for r in rows)
+        assert "paper" not in capsys.readouterr().out
 
     def test_n100_seed2_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 100}})
@@ -232,7 +226,7 @@ class TestGradCheck:
     def test_n100_passes_with_a_small_component(self, tmp_path, seed):
         # Component k = 1 is ~1e-7 against max|g| ~ 1.6e-3. Differences at a
         # step of 1e-4 missed it by 1.6e-4 (seed 12) and 1.0e-4 (seed 42),
-        # from rounding in phi; at the default step of 1e-3, by 1.4e-5 and 6.3e-6
+        # from rounding in phi; at the fixed step of 1e-3, by 1.4e-5 and 6.3e-6
         cfg = write_config(tmp_path, {"grad": {"n": 100}})
         out = tmp_path / "out"
         assert main(["grad-check", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0

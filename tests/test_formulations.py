@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_helmholtz_instance, scaled_problem
+from conftest import dA_dm, make_helmholtz_instance, scaled_problem
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
@@ -37,7 +37,6 @@ from xfwi.errors import (
     XfwiError,
 )
 from xfwi.linops import TridiagonalOperator
-from xfwi.wavemodel import dA_dm
 
 
 def identity_problem(n, receivers, q, d, sigma_m, sigma_p):
@@ -382,20 +381,6 @@ class TestGradient:
             ]
         )
         assert np.linalg.norm(g - g_conv) <= 1e-6 * np.linalg.norm(g_conv)
-
-    def test_paper_variant_disagrees(self):
-        from xfwi.cli import DEFAULT_CONFIG, gradient_problem
-
-        prob, m = gradient_problem(DEFAULT_CONFIG["grad"], seed=22)
-        fd = fd_gradient(prob, m)
-        gp = grad_phi(prob, m, variant="paper")
-        rel = np.abs(gp - fd) / (np.abs(fd) + 1e-9 * (1 + np.abs(fd).max()))
-        assert rel.max() > 1e-2
-
-    def test_unknown_variant(self):
-        prob, m = make_helmholtz_instance(seed=16)
-        with pytest.raises(RejectedInputError):
-            grad_phi(prob, m, variant="other")
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
     def test_contraction_matches_per_k_derivative(self, boundary):
@@ -751,13 +736,12 @@ class TestFactorizationInputs:
         [
             (phi_reduced, 1),
             (grad_phi, 1),
-            (lambda prob, m: grad_phi(prob, m, variant="paper"), 2),
             (verify_equivalence, 1),
             (verify_matrix_identity, 2),
             (minimize_phi_extended_source, 1),
             (lambda prob, m: minimize_phi_contrast_source(prob, m, 1.03 * m), 1),
         ],
-        ids=["phi_reduced", "grad_adjoint", "grad_paper", "verify_equivalence",
+        ids=["phi_reduced", "grad_adjoint", "verify_equivalence",
              "verify_matrix_identity", "minimize_extended", "minimize_contrast"],
     )
     def test_sites_receive_exactly_hermitian_arrays(
@@ -775,13 +759,8 @@ class TestFactorizationInputs:
     )
     @pytest.mark.parametrize(
         "check",
-        [
-            phi_reduced,
-            grad_phi,
-            lambda prob, m: grad_phi(prob, m, variant="paper"),
-            verify_equivalence,
-        ],
-        ids=["phi_reduced", "grad_adjoint", "grad_paper", "verify_equivalence"],
+        [phi_reduced, grad_phi, verify_equivalence],
+        ids=["phi_reduced", "grad_adjoint", "verify_equivalence"],
     )
     def test_non_finite_weight_matrix_is_rejected(self, monkeypatch, i, j, value, check):
         # K + sigma_m is factored unchecked; a non-finite entry, placed so the
@@ -829,8 +808,7 @@ def test_lapack_calls_of_one_reduced_objective(monkeypatch):
 def evaluations(prob, m):
     """Every reduced-side result at ``m`` as bytes, in the order an iterate takes them."""
     rep = phi_reduced(prob, m)
-    parts = [rep.value, rep.residual, rep.weighted_residual,
-             grad_phi(prob, m), grad_phi(prob, m, variant="paper")]
+    parts = [rep.value, rep.residual, rep.weighted_residual, grad_phi(prob, m)]
     eq = verify_equivalence(prob, m)
     parts += [eq.phi_reduced, eq.state_split_err, eq.data_split_err, eq.process_split_err]
     return [np.asarray(p).tobytes() for p in parts]
@@ -841,8 +819,9 @@ def fresh(prob):
     return dataclasses.replace(prob)
 
 
-def mutable_instance(n=40, receivers=(5, 20, 33)):
+def mutable_instance():
     """A Helmholtz problem built from arrays the test keeps and may change later."""
+    n, receivers = 40, (5, 20, 33)
     rng = np.random.default_rng(5)
     model = HelmholtzModel1D(n=n, h=1.0 / n, omega=6.0, boundary="sommerfeld")
     arrays = {
@@ -873,7 +852,6 @@ class TestReducedPassCache:
         assert rep.value == np.frombuffer(first[0])[0]
         g = grad_phi(fresh(prob), m)
         assert g.tobytes() == first[3]
-        assert grad_phi(fresh(prob), m, variant="paper").tobytes() == first[4]
 
     def test_gradient_after_objective_reuses_its_pass(self):
         prob, m = grad_default_problem(100)
@@ -886,7 +864,6 @@ class TestReducedPassCache:
         counted = dataclasses.replace(prob, A_builder=counting)
         phi_reduced(counted, m)
         grad_phi(counted, m)
-        grad_phi(counted, m, variant="paper")
         verify_equivalence(counted, m)
         assert len(builds) == 1
 
@@ -941,18 +918,6 @@ class TestReducedPassCache:
         assert again is not rep
         assert again.value == value
         assert again.residual.tobytes() == phi_reduced(fresh(prob), m).residual.tobytes()
-
-    def test_paper_variant_leaves_a_one_receiver_pass_intact(self):
-        # K is 1 x 1, so Fortran-ordered; potrf would factor it in place
-        # through the read-only flag if the paper variant passed it directly
-        prob, arrays = mutable_instance(receivers=(17,))
-        m = arrays["m"]
-        results = [grad_phi(prob, m, variant="paper"), grad_phi(prob, m, variant="paper"),
-                   grad_phi(prob, m)]
-        expected = [grad_phi(fresh(prob), m, variant="paper"),
-                    grad_phi(fresh(prob), m, variant="paper"),
-                    grad_phi(fresh(prob), m)]
-        assert [g.tobytes() for g in results] == [g.tobytes() for g in expected]
 
     @pytest.mark.parametrize("name", ["m", "q", "d", "diag", "receivers"])
     def test_callers_arrays_cannot_reach_a_later_result(self, name):

@@ -59,7 +59,6 @@ PUBLIC_NAMES = {
     "KernelPanels",
     "adjoint_F",
     "assemble_A",
-    "dense_forward_matrix",
     "forward_F",
     "forward_operator",
     "kernel_k",

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr, solve_triangular
 
-import xfwi
 from xfwi import (
     DegenerateWeightsError,
     IllConditionedError,
@@ -17,7 +16,7 @@ from xfwi import (
     scan_objective,
     synthesize_data,
 )
-from xfwi import toy, wavemodel
+from xfwi import toy
 from xfwi.errors import RejectedInputError
 from xfwi.toy import REGIMES
 
@@ -150,18 +149,6 @@ class TestScan:
     def test_general_regime_runs(self, small_toy_config):
         result = scan_objective(small_toy_config, "general")
         assert result.argmin_c == pytest.approx(2.0)
-
-
-def test_production_path_never_materializes_F(monkeypatch, small_toy_config):
-    def refuse(c, acq):
-        raise AssertionError("the production path materialized F")
-
-    for namespace in (xfwi, wavemodel, toy):
-        if hasattr(namespace, "dense_forward_matrix"):
-            monkeypatch.setattr(namespace, "dense_forward_matrix", refuse)
-    for regime in ("extended", "general"):
-        assert scan_objective(small_toy_config, regime).status == ["ok"] * 21
-        estimate_extended_source(small_toy_config, 1.8, regime)
 
 
 def test_half_max_width_synthetic():

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import dA_dm, dense_forward_matrix
 from xfwi import (
     Acquisition,
     Dataset,
     HelmholtzModel1D,
     adjoint_F,
     assemble_A,
-    dense_forward_matrix,
     dot_test,
     forward_F,
     forward_operator,
@@ -24,7 +24,6 @@ from xfwi.wavemodel import (
     _normal_matrix,
     _phase_factors,
     _phase_table,
-    dA_dm,
 )
 from xfwi.errors import (
     DimensionMismatchError,
@@ -280,11 +279,6 @@ class TestDerivative:
         m = np.linspace(0.2, 0.4, 6)
         total = sum(m[k] * dA_dm(model, k).matrix for k in range(6))
         assert np.allclose(total, model.omega**2 * np.diag(m), rtol=1e-14)
-
-    def test_index_out_of_range(self):
-        model = HelmholtzModel1D(n=3, h=1.0, omega=1.0)
-        with pytest.raises(RejectedInputError):
-            dA_dm(model, 3)
 
 
 class TestForward:

@@ -344,6 +344,23 @@ class TestGradient:
         rel = np.abs(g - fd) / (np.abs(fd) + 1e-9 * (1 + np.abs(fd).max()))
         assert rel.max() <= 1e-5
 
+    def test_fixed_step_resolves_the_n50_gradient(self):
+        # criterion 3's worst case: 2.7e-9 at the step of 1e-3, 9.4e-8 at 1e-4
+        from xfwi.cli import DEFAULT_CONFIG, gradient_problem
+
+        prob, m = gradient_problem(DEFAULT_CONFIG["grad"], seed=42, n=50)
+        g = grad_phi(prob, m)
+        fd = fd_gradient(prob, m)
+        rel = np.abs(g - fd) / (np.abs(fd) + 1e-9 * (1 + np.abs(fd).max()))
+        assert rel.max() <= 1e-8
+
+    def test_gradients_take_only_problem_and_medium(self):
+        prob, m = make_helmholtz_instance(seed=16)
+        with pytest.raises(TypeError):
+            grad_phi(prob, m, variant="paper")
+        with pytest.raises(TypeError):
+            fd_gradient(prob, m, rel_step=1e-4)
+
     @pytest.mark.parametrize("cov_kind", ["diagonal", "dense"])
     def test_finite_difference_oracle_with_process_weight(self, cov_kind):
         # sigma_p != I, so the sigma_p in w0 = A^{-1} sigma_p v0 counts; every
@@ -736,12 +753,13 @@ class TestFactorizationInputs:
         [
             (phi_reduced, 1),
             (grad_phi, 1),
+            (fd_gradient, 80),  # 4 n reduced passes at n = 20
             (verify_equivalence, 1),
             (verify_matrix_identity, 2),
             (minimize_phi_extended_source, 1),
             (lambda prob, m: minimize_phi_contrast_source(prob, m, 1.03 * m), 1),
         ],
-        ids=["phi_reduced", "grad_adjoint", "verify_equivalence",
+        ids=["phi_reduced", "grad_adjoint", "fd_gradient", "verify_equivalence",
              "verify_matrix_identity", "minimize_extended", "minimize_contrast"],
     )
     def test_sites_receive_exactly_hermitian_arrays(
@@ -759,8 +777,8 @@ class TestFactorizationInputs:
     )
     @pytest.mark.parametrize(
         "check",
-        [phi_reduced, grad_phi, verify_equivalence],
-        ids=["phi_reduced", "grad_adjoint", "verify_equivalence"],
+        [phi_reduced, grad_phi, fd_gradient, verify_equivalence],
+        ids=["phi_reduced", "grad_adjoint", "fd_gradient", "verify_equivalence"],
     )
     def test_non_finite_weight_matrix_is_rejected(self, monkeypatch, i, j, value, check):
         # K + sigma_m is factored unchecked; a non-finite entry, placed so the
@@ -819,9 +837,8 @@ def fresh(prob):
     return dataclasses.replace(prob)
 
 
-def mutable_instance():
+def mutable_instance(n=40, receivers=(5, 20, 33)):
     """A Helmholtz problem built from arrays the test keeps and may change later."""
-    n, receivers = 40, (5, 20, 33)
     rng = np.random.default_rng(5)
     model = HelmholtzModel1D(n=n, h=1.0 / n, omega=6.0, boundary="sommerfeld")
     arrays = {
@@ -918,6 +935,16 @@ class TestReducedPassCache:
         assert again is not rep
         assert again.value == value
         assert again.residual.tobytes() == phi_reduced(fresh(prob), m).residual.tobytes()
+
+    def test_one_receiver_pass_stays_intact(self):
+        # K is 1 x 1, so Fortran-ordered; potrf would factor it in place
+        # through the read-only flag if a kept K were handed to it directly
+        prob, arrays = mutable_instance(receivers=(17,))
+        m = arrays["m"]
+        results = [grad_phi(prob, m), grad_phi(prob, m), phi_reduced(prob, m).residual]
+        expected = [grad_phi(fresh(prob), m), grad_phi(fresh(prob), m),
+                    phi_reduced(fresh(prob), m).residual]
+        assert [g.tobytes() for g in results] == [g.tobytes() for g in expected]
 
     @pytest.mark.parametrize("name", ["m", "q", "d", "diag", "receivers"])
     def test_callers_arrays_cannot_reach_a_later_result(self, name):

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import qr, solve_triangular
 
+import xfwi
 from xfwi import (
     DegenerateWeightsError,
     IllConditionedError,
@@ -16,7 +17,7 @@ from xfwi import (
     scan_objective,
     synthesize_data,
 )
-from xfwi import toy
+from xfwi import toy, wavemodel
 from xfwi.errors import RejectedInputError
 from xfwi.toy import REGIMES
 
@@ -149,6 +150,15 @@ class TestScan:
     def test_general_regime_runs(self, small_toy_config):
         result = scan_objective(small_toy_config, "general")
         assert result.argmin_c == pytest.approx(2.0)
+
+
+def test_production_path_never_materializes_F(small_toy_config):
+    # the dense propagator is a test oracle only (conftest.dense_forward_matrix)
+    for namespace in (xfwi, wavemodel, toy):
+        assert not hasattr(namespace, "dense_forward_matrix")
+    for regime in ("extended", "general"):
+        assert scan_objective(small_toy_config, regime).status == ["ok"] * 21
+        estimate_extended_source(small_toy_config, 1.8, regime)
 
 
 def test_half_max_width_synthetic():

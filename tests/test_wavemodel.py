@@ -280,6 +280,11 @@ class TestDerivative:
         total = sum(m[k] * dA_dm(model, k).matrix for k in range(6))
         assert np.allclose(total, model.omega**2 * np.diag(m), rtol=1e-14)
 
+    def test_index_out_of_range(self):
+        model = HelmholtzModel1D(n=3, h=1.0, omega=1.0)
+        with pytest.raises(RejectedInputError):
+            dA_dm(model, 3)
+
 
 class TestForward:
     def test_spike_delay_and_amplitude(self):

@@ -41,10 +41,8 @@ from .formulations import (
 from .linops import (
     CovarianceSpec,
     DenseOperator,
-    FunctionOperator,
     LinearOperator,
     SamplingOperator,
-    dense_spd_solve,
     dot_test,
     weighted_norm_sq,
 )
@@ -67,6 +65,5 @@ from .wavemodel import (
     adjoint_F,
     assemble_A,
     forward_F,
-    forward_operator,
     kernel_k,
 )

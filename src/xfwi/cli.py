@@ -46,19 +46,7 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG = {
-    "toy": {
-        "c_true": 2.0,
-        "receiver_distances": [0.8, 1.0, 1.2],
-        "nt": 512,
-        "dt": 0.004,
-        "wavelet": "ricker",
-        "f0": 10.0,
-        "t0": 0.15,
-        "sigma_m": 1.0,
-        "sigma_p": 1.0,
-        "scan": [1.5, 2.5, 101],
-        "floor": 1e-6,
-    },
+    "toy": asdict(ToyConfig()),
     "equiv": {
         "instances": 20,
         "n": 20,
@@ -85,7 +73,11 @@ DEFAULT_CONFIG = {
 
 
 def load_config(path):
-    """Merge a JSON config over the defaults, rejecting unknown keys."""
+    """Merge a JSON config over the defaults and check every section.
+
+    An unknown key, or a value some command could not run, is a ConfigError
+    here, before any output.
+    """
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG)), _digest_bytes(
             _canonical_bytes(DEFAULT_CONFIG)
@@ -107,7 +99,7 @@ def load_config(path):
             if key not in merged[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             merged[section][key] = val
-    _validate_weights(merged)
+    _toy_config(merged)
     _check_equiv(merged["equiv"])
     _check_grad(merged["grad"])
     return merged, _digest_bytes(raw)
@@ -119,13 +111,6 @@ def _canonical_bytes(cfg):
 
 def _digest_bytes(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def _validate_weights(cfg):
-    for section in ("toy", "equiv"):
-        sec = cfg[section]
-        if sec["sigma_m"] == 0 and sec["sigma_p"] == 0:
-            raise ConfigError("degenerate weights: sigma_m and sigma_p are both zero")
 
 
 def _check_choice(section, sec, key, allowed):
@@ -179,6 +164,14 @@ def _check_grad(sec):
         raise ConfigError(f"grad: {exc}") from exc
     _check_positive("grad", positive)
     _check_choice("grad", sec, "data", ("perturbed", "consistent"))
+
+
+def _toy_config(cfg):
+    """The toy section as a ToyConfig; a value it rejects is a config error."""
+    try:
+        return ToyConfig(**cfg["toy"])
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise ConfigError(f"toy: {exc}") from exc
 
 
 @dataclass
@@ -357,27 +350,6 @@ def cmd_grad_check(args, cfg, out, manifest):
     return 0 if ok else 1
 
 
-def _toy_config(cfg):
-    """The toy section as a ToyConfig; a value it rejects is a config error."""
-    t = cfg["toy"]
-    try:
-        return ToyConfig(
-            c_true=float(t["c_true"]),
-            receiver_distances=tuple(t["receiver_distances"]),
-            nt=int(t["nt"]),
-            dt=float(t["dt"]),
-            wavelet=t["wavelet"],
-            f0=float(t["f0"]),
-            t0=float(t["t0"]),
-            sigma_m=float(t["sigma_m"]),
-            sigma_p=float(t["sigma_p"]),
-            scan=tuple(t["scan"]),
-            floor=float(t["floor"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        raise ConfigError(f"toy: {exc}") from exc
-
-
 def cmd_kernel(args, cfg, out, manifest):
     toy_cfg = _toy_config(cfg)
     acq = acquisition(toy_cfg)
@@ -459,14 +431,15 @@ def cmd_extsrc(args, cfg, out, manifest):
     velocities = args.c if args.c else [1.8, 2.2]
     for c in velocities:
         res = estimate_extended_source(toy_cfg, c, regime=args.regime)
+        tag = _velocity_tag(c)
         write_csv(
-            out / f"extsrc_c{c:g}.csv",
+            out / f"extsrc_c{tag}.csv",
             ["t", "q", "f", "q_plus_f"],
             [times, q, res.extension, res.q_plus_f],
         )
         n_rec = res.observed.n_receivers
         write_csv(
-            out / f"extdata_c{c:g}.csv",
+            out / f"extdata_c{tag}.csv",
             ["t", "receiver_id", "observed", "clean_model", "fitted"],
             [
                 np.tile(times, n_rec),
@@ -477,11 +450,16 @@ def cmd_extsrc(args, cfg, out, manifest):
             ],
         )
         print(
-            f"extsrc c={c:g} ({args.regime}): fit rel {res.fit_rel:.3e}, "
+            f"extsrc c={tag} ({args.regime}): fit rel {res.fit_rel:.3e}, "
             f"|f|/|q| {res.extension_ratio:.3e}"
         )
     manifest.status = "ok"
     return 0
+
+
+def _velocity_tag(c):
+    """Velocity ``c`` as it appears in the extsrc file names and output."""
+    return f"{c:g}"
 
 
 def _velocity(text):
@@ -521,7 +499,8 @@ def build_parser():
                 "--c",
                 type=_velocity,
                 action="append",
-                help="trial velocity in km/s (repeatable; default 1.8 and 2.2)",
+                help="trial velocity in km/s (repeatable, each distinct to 6 "
+                "significant digits, which name its files; default 1.8 and 2.2)",
             )
         p.set_defaults(func=fn)
     return parser
@@ -531,6 +510,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        tags = [_velocity_tag(c) for c in getattr(args, "c", None) or ()]
+        if len(set(tags)) < len(tags):  # one velocity's files would overwrite another's
+            parser.error(f"argument --c: velocities {args.c} repeat a file tag: {tags}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     run = None

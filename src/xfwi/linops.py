@@ -1,5 +1,5 @@
-"""Matrix-free linear operators with adjoints, covariance weights and the
-dense Hermitian positive definite solve.
+"""Linear operators with adjoints, covariance weights and the Cholesky
+factor and solve behind every Hermitian positive definite system.
 
 The scalar field is complex throughout; real problems are the special case
 with zero imaginary parts. All adjoints follow the inner product
@@ -45,10 +45,10 @@ def _read_only(a):
 
 
 class LinearOperator:
-    """Base class for matrix-free operators.
+    """Base class of the operators: ``shape`` is ``(range_dim, domain_dim)``.
 
-    Subclasses implement ``matvec`` (forward) and ``rmatvec`` (adjoint).
-    ``shape`` is ``(range_dim, domain_dim)``.
+    Subclasses implement ``matvec`` (forward), ``rmatvec`` (adjoint) and
+    ``to_dense``.
     """
 
     def __init__(self, range_dim, domain_dim):
@@ -58,25 +58,6 @@ class LinearOperator:
     @property
     def shape(self):
         return (self.range_dim, self.domain_dim)
-
-    def matvec(self, x):
-        raise NotImplementedError
-
-    def rmatvec(self, y):
-        raise NotImplementedError
-
-    def to_dense(self):
-        """Materialize the operator columnwise. Intended for small problems."""
-        out = np.empty((self.range_dim, self.domain_dim), dtype=complex)
-        e = np.zeros(self.domain_dim, dtype=complex)
-        for k in range(self.domain_dim):
-            e[k] = 1.0
-            out[:, k] = self.matvec(e)
-            e[k] = 0.0
-        return out
-
-    def __matmul__(self, x):
-        return self.matvec(x)
 
 
 class DenseOperator(LinearOperator):
@@ -196,21 +177,6 @@ class TridiagonalOperator(LinearOperator):
         return np.inf if rcond == 0 else 1.0 / rcond
 
 
-class FunctionOperator(LinearOperator):
-    """Operator defined by a pair of callables."""
-
-    def __init__(self, range_dim, domain_dim, matvec, rmatvec):
-        super().__init__(range_dim, domain_dim)
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, x):
-        return self._matvec(x)
-
-    def rmatvec(self, y):
-        return self._rmatvec(y)
-
-
 class SamplingOperator(LinearOperator):
     """Selection of state entries, one unit entry per row.
 
@@ -274,9 +240,9 @@ def _check_hermitian(M, what):
     """``M`` as a square array, checked finite and Hermitian.
 
     Rejects a non-square ``M``, and raises :class:`NotPositiveDefiniteError`
-    unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``. The public entry
-    points run this on the matrices callers hand them; the internal callers
-    build theirs Hermitian bit for bit and skip it.
+    unless ``||M - M^H|| <= _HERMITIAN_RTOL * ||M||``.
+    :meth:`CovarianceSpec.dense` runs this on the matrix a caller hands it;
+    the internal callers build theirs Hermitian bit for bit and skip it.
 
     The squared Frobenius norm of ``M - M^H`` is summed over the square
     tiles of its lower block triangle, each off-diagonal tile counted twice
@@ -353,8 +319,7 @@ def spd_condition(factor, norm_1):
 def _spd_solve(M, b, what):
     """Solve ``M x = b`` for a Hermitian ``M`` that the caller owns and drops.
 
-    The shared solve behind :func:`dense_spd_solve` and the internal
-    callers, which build ``M`` Hermitian bit for bit and so skip
+    The internal callers build ``M`` Hermitian bit for bit and so skip
     :func:`_check_hermitian`. The 1-norm (largest column sum) is taken
     before :func:`_spd_factor` factors ``M``, in place when it can; a
     ``pocon`` estimate of ``cond_1`` of 1e14 or more raises
@@ -370,20 +335,6 @@ def _spd_solve(M, b, what):
             f"rhs leading dim {b.shape[0]} does not match matrix dim {n}"
         )
     return _potrs(factor, b)
-
-
-def dense_spd_solve(M, b):
-    """Cholesky solve of a Hermitian positive definite system.
-
-    Accepts vector or matrix right-hand sides. ``M`` is checked square,
-    finite and Hermitian, then a copy of it is factored, so the caller's
-    array is never modified. The residual satisfies
-    ``||M x - b|| / ||b|| <= O(eps) * cond(M)`` by backward stability of
-    the factorization; a ``pocon`` estimate of ``cond_1`` of 1e14 or more
-    raises :class:`IllConditionedError`.
-    """
-    M = _check_hermitian(M, "matrix")
-    return _spd_solve(np.array(M, order="F"), b, "matrix")
 
 
 def dot_test(op, trials=10, seed=0):

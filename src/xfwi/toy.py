@@ -40,12 +40,18 @@ class ToyConfig:
     floor: float = 1e-6
 
     def __post_init__(self):
+        # coerced here, so a JSON config section can be passed as it is
+        for name in ("c_true", "dt", "f0", "t0", "sigma_m", "sigma_p", "floor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         dists = tuple(float(r) for r in self.receiver_distances)
         object.__setattr__(self, "receiver_distances", dists)
+        c_min, c_max, n_points = (float(v) for v in self.scan)
         numbers = (self.c_true, self.dt, self.f0, self.t0, self.sigma_m, self.sigma_p,
-                   self.floor, *self.scan, *dists)
+                   self.floor, c_min, c_max, n_points, *dists)
         if not np.all(np.isfinite(numbers)):
             raise RejectedInputError(f"config values must be finite, got {numbers}")
+        object.__setattr__(self, "nt", int(self.nt))
+        object.__setattr__(self, "scan", (c_min, c_max, int(n_points)))
         if not self.c_true > 0:
             raise RejectedInputError("c_true must be positive")
         if any(r <= 0 for r in dists) or len(set(dists)) != len(dists):
@@ -59,10 +65,8 @@ class ToyConfig:
             raise RejectedInputError(
                 f"f0 = {self.f0} Hz would alias at dt = {self.dt}"
             )
-        c_min, c_max, n_points = self.scan
-        if not (0 < c_min < c_max) or int(n_points) < 2:
+        if not (0 < c_min < c_max) or self.scan[2] < 2:
             raise RejectedInputError("scan range must be positive and ordered")
-        object.__setattr__(self, "scan", (float(c_min), float(c_max), int(n_points)))
         if self.sigma_m < 0 or self.sigma_p < 0 or self.sigma_m == self.sigma_p == 0:
             raise RejectedInputError("weights must be nonnegative, not both zero")
         if not self.floor > 0:
@@ -189,8 +193,6 @@ def estimate_extended_source(cfg, c, regime="extended"):
     plain misfit. Raises DegenerateWeightsError when the regime's
     ``sigma_m`` is zero.
     """
-    if not c > 0:
-        raise RejectedInputError("velocity must be positive")
     acq = acquisition(cfg)
     q = make_wavelet(cfg)
     observed = synthesize_data(cfg)

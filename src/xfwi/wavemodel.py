@@ -24,9 +24,9 @@ from .errors import (
     SingularGeometryError,
 )
 from .linops import (
-    FunctionOperator,
     TridiagonalOperator,
     _COND_LIMIT,
+    _read_only,
     check_condition,
 )
 
@@ -97,7 +97,8 @@ class Acquisition:
     """Source/receiver geometry and the time grid.
 
     Positions are in km; the analytic propagator only uses the Euclidean
-    source-receiver distances.
+    source-receiver distances. They are kept as read-only copies, so the
+    geometry checks made on construction hold for the object's lifetime.
     """
 
     source_position: np.ndarray
@@ -106,8 +107,8 @@ class Acquisition:
     dt: float
 
     def __post_init__(self):
-        src = np.atleast_1d(np.asarray(self.source_position, dtype=float))
-        rec = np.atleast_2d(np.asarray(self.receiver_positions, dtype=float))
+        src = _read_only(np.atleast_1d(np.array(self.source_position, dtype=float)))
+        rec = _read_only(np.atleast_2d(np.array(self.receiver_positions, dtype=float)))
         object.__setattr__(self, "source_position", src)
         object.__setattr__(self, "receiver_positions", rec)
         if self.nt < 2:
@@ -281,7 +282,7 @@ def _normal_matrix(c, acq):
     time. G comes out in Fortran order, so LAPACK's Cholesky takes it without
     a transposing copy.
     """
-    _check_forward_inputs(c, acq)
+    _check_velocity(c)
     phases, _ = _phase_factors(c, acq)
     nt = acq.nt
     t = np.fft.ifft(phases, axis=1).real
@@ -298,11 +299,10 @@ def _normal_matrix(c, acq):
     return G
 
 
-def _check_forward_inputs(c, acq):
+def _check_velocity(c):
+    # The geometry needs no check here: Acquisition owns it.
     if not (np.isfinite(c) and c > 0):
         raise RejectedInputError(f"velocity must be positive, got {c}")
-    if np.any(acq.distances() <= 0):
-        raise SingularGeometryError("a receiver coincides with the source")
 
 
 def _shift_stack(c, acq, q):
@@ -349,7 +349,7 @@ def forward_F(c, acq, q):
     Dataset
         ``n_receivers x nt`` traces.
     """
-    _check_forward_inputs(c, acq)
+    _check_velocity(c)
     q = np.asarray(q)
     if q.ndim != 1 or len(q) != acq.nt:
         raise DimensionMismatchError(f"source must have length {acq.nt}")
@@ -360,7 +360,7 @@ def forward_F(c, acq, q):
 
 def adjoint_F(c, acq, data):
     """Adjoint of :func:`forward_F`: advance, scale, and stack traces."""
-    _check_forward_inputs(c, acq)
+    _check_velocity(c)
     values = data.values if isinstance(data, Dataset) else np.atleast_2d(np.asarray(data))
     if values.shape != (acq.n_receivers, acq.nt):
         raise DimensionMismatchError(
@@ -370,22 +370,6 @@ def adjoint_F(c, acq, data):
         lambda y: _shift_gather(c, acq, y.reshape(acq.n_receivers, acq.nt)),
         values.ravel(),
     )
-
-
-def forward_operator(c, acq):
-    """The propagator as a LinearOperator on flattened traces."""
-    _check_forward_inputs(c, acq)
-    nrec, nt = acq.n_receivers, acq.nt
-
-    def mv(x):
-        return _complexified(lambda v: _shift_stack(c, acq, v).ravel(), x)
-
-    def rmv(y):
-        return _complexified(
-            lambda v: _shift_gather(c, acq, v.reshape(nrec, nt)), y
-        )
-
-    return FunctionOperator(nrec * nt, nt, mv, rmv)
 
 
 def kernel_k(c, acq):
@@ -399,7 +383,7 @@ def kernel_k(c, acq):
     ``(r_i - r_j)/c`` with weight ``1/(r_i r_j)``, and panel (i, j) exactly
     the time reverse of panel (j, i).
     """
-    _check_forward_inputs(c, acq)
+    _check_velocity(c)
     nrec, nt = acq.n_receivers, acq.nt
     r = acq.distances()
     max_lag = (r.max() - r.min()) / c

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -7,10 +9,12 @@ from xfwi import (
     DenseOperator,
     HelmholtzModel1D,
     RejectedInputError,
+    adjoint_F,
+    forward_F,
     helmholtz_problem,
 )
 from xfwi.cli import random_covariance
-from xfwi.wavemodel import _check_forward_inputs, _phase_factors
+from xfwi.wavemodel import _check_velocity, _phase_factors
 
 
 def make_helmholtz_instance(
@@ -87,7 +91,7 @@ def dense_forward_matrix(c, acq):
     F matrix-free and builds ``F^T F`` with ``_normal_matrix``; this dense
     form is the tests' oracle for both and for the adjoint dot test.
     """
-    _check_forward_inputs(c, acq)
+    _check_velocity(c)
     phases, N = _phase_factors(c, acq)
     nt = acq.nt
     F = np.empty((acq.n_receivers * nt, nt))
@@ -96,6 +100,24 @@ def dense_forward_matrix(c, acq):
         ker = np.fft.ifft(phases[i]).real
         F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
     return F
+
+
+def operator_pair(range_dim, domain_dim, matvec, rmatvec):
+    """A map and its claimed adjoint, as :func:`xfwi.dot_test` reads them."""
+    return SimpleNamespace(
+        range_dim=range_dim, domain_dim=domain_dim, matvec=matvec, rmatvec=rmatvec
+    )
+
+
+def propagator(c, acq):
+    """:func:`forward_F` and :func:`adjoint_F` on flattened traces, for dot tests."""
+    shape = (acq.n_receivers, acq.nt)
+    return operator_pair(
+        shape[0] * shape[1],
+        acq.nt,
+        lambda q: forward_F(c, acq, q).values.ravel(),
+        lambda y: adjoint_F(c, acq, y.reshape(shape)),
+    )
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dA_dm, dense_forward_matrix, make_helmholtz_instance
+from conftest import dA_dm, dense_forward_matrix, make_helmholtz_instance, propagator
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
@@ -32,7 +32,6 @@ from xfwi import (
     dot_test,
     estimate_extended_source,
     fd_gradient,
-    forward_operator,
     grad_phi,
     half_max_basin_width,
     helmholtz_problem,
@@ -266,7 +265,7 @@ def test_criterion_9_infrastructure(tmp_path):
     worst = max(worst, dot_test(SamplingOperator([3, 9, 15], 20), trials=5, seed=3))
     cfg = ToyConfig(nt=160, dt=0.008, f0=8.0, t0=0.2)
     acq = acquisition(cfg)
-    worst = max(worst, dot_test(forward_operator(2.1, acq), trials=10, seed=4))
+    worst = max(worst, dot_test(propagator(2.1, acq), trials=10, seed=4))
     worst = max(
         worst, dot_test(DenseOperator(dense_forward_matrix(1.9, acq)), trials=5, seed=5)
     )

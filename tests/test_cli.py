@@ -19,6 +19,8 @@ SMALL_TOY = {
 
 SMALL_EQUIV = {"equiv": {"instances": 5, "n": 10, "receivers": [2, 5, 8]}}
 
+DEFAULT_DIGEST = "403a85a54528d8506d838f0e967f37ad7d0342b481ec3861cbf13338a30c66ab"
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -46,8 +48,10 @@ class TestConfigHandling:
 
     def test_degenerate_weights(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"equiv": {"sigma_m": 0.0, "sigma_p": 0.0}})
-        assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "degenerate weights" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "equiv.sigma_m must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
@@ -97,6 +101,7 @@ class TestConfigHandling:
             ("scan", {"toy": {"nt": float("inf")}}),
             ("equiv-check", {"equiv": {"n": float("inf")}}),
             ("grad-check", {"grad": {"n": float("inf")}}),
+            ("equiv-check", {"toy": {"nt": 1}}),
         ],
         ids=[
             "toy-nt-1",
@@ -119,12 +124,16 @@ class TestConfigHandling:
             "toy-nt-inf",
             "equiv-n-inf",
             "grad-n-inf",
+            "equiv-check-toy-nt-1",
         ],
     )
     def test_rejected_config_value(self, tmp_path, capsys, command, payload):
+        # every section is checked while the config loads, whatever the command
         cfg = write_config(tmp_path, payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1.0", "0.0", '"nan"', "1e400"])
     @pytest.mark.parametrize("key", ["sigma_m", "sigma_p"])
@@ -151,14 +160,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv, payload, code",
         [
-            (["scan"], {"toy": {"nt": 1}}, 2),
             (
                 ["extsrc", "--regime", "general"],
                 {"toy": {**SMALL_TOY["toy"], "sigma_m": 0.0}},
                 1,
             ),
         ],
-        ids=["config-error", "check-failed"],
+        ids=["check-failed"],
     )
     def test_failed_command_leaves_error_manifest(self, tmp_path, argv, payload, code):
         cfg = write_config(tmp_path, payload)
@@ -216,6 +224,10 @@ class TestGradCheck:
         assert len(rows) == 20
         assert all(float(r[3]) <= 1e-4 for r in rows)
         assert "paper" not in capsys.readouterr().out
+        # the digest of the canonical default config, pinned so that deriving
+        # the defaults (the toy section comes from ToyConfig) cannot move it
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == DEFAULT_DIGEST
 
     def test_n100_seed2_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 100}})
@@ -329,6 +341,16 @@ class TestExtsrcCommand:
     def test_bad_velocity_is_usage_error(self, tmp_path, c):
         out = tmp_path / "out"
         assert main(["extsrc", f"--c={c}", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [["1.8", "1.8000001"], ["2", "2.0"]])
+    def test_velocities_sharing_a_file_tag_are_usage_error(self, tmp_path, capsys, values):
+        # both would write extsrc_c1.8.csv (extsrc_c2.csv): the second run
+        # would overwrite the first
+        out = tmp_path / "out"
+        argv = ["extsrc", "--out", str(out)] + [f"--c={c}" for c in values]
+        assert main(argv) == 2
+        assert "repeat a file tag" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_measurement_weight_exits_1(self, tmp_path):

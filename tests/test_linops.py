@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+from conftest import operator_pair
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
-    FunctionOperator,
     HelmholtzModel1D,
     SamplingOperator,
     assemble_A,
@@ -50,7 +50,7 @@ class TestDotTest:
         rng = np.random.default_rng(1)
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         # transpose without conjugation is the classic wrong adjoint
-        bad = FunctionOperator(4, 4, lambda x: M @ x, lambda y: M.T @ y)
+        bad = operator_pair(4, 4, lambda x: M @ x, lambda y: M.T @ y)
         assert dot_test(bad, trials=5, seed=2) > 1e-3
 
     def test_helmholtz_dense_adjoint(self):

@@ -36,10 +36,8 @@ PUBLIC_NAMES = {
     # linops
     "CovarianceSpec",
     "DenseOperator",
-    "FunctionOperator",
     "LinearOperator",
     "SamplingOperator",
-    "dense_spd_solve",
     "dot_test",
     "weighted_norm_sq",
     # toy
@@ -60,7 +58,6 @@ PUBLIC_NAMES = {
     "adjoint_F",
     "assemble_A",
     "forward_F",
-    "forward_operator",
     "kernel_k",
 }
 

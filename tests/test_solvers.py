@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from xfwi import dense_spd_solve
+from xfwi import CovarianceSpec
 from xfwi.errors import IllConditionedError, NotPositiveDefiniteError
+
+
+def covariance_solve(M, b):
+    """The package's one dense Hermitian positive definite solve."""
+    return CovarianceSpec.dense(M).solve(b)
 
 
 def random_spd(n, seed):
@@ -14,17 +19,17 @@ def random_spd(n, seed):
 class TestDenseSpdSolve:
     def test_identity(self):
         b = np.array([1.0, 2.0])
-        assert np.array_equal(dense_spd_solve(np.eye(2), b), b)
+        assert np.array_equal(covariance_solve(np.eye(2), b), b)
 
     def test_diagonal(self):
-        x = dense_spd_solve(np.diag([4.0, 9.0]), np.array([4.0, 9.0]))
+        x = covariance_solve(np.diag([4.0, 9.0]), np.array([4.0, 9.0]))
         assert np.allclose(x, [1.0, 1.0])
 
     def test_cross_check_with_lsqr(self):
         M = random_spd(50, seed=3)
         rng = np.random.default_rng(9)
         b = rng.standard_normal(50)
-        x_chol = dense_spd_solve(M, b)
+        x_chol = covariance_solve(M, b)
         x_ref = np.linalg.lstsq(M, b, rcond=None)[0]
         assert np.linalg.norm(x_chol - x_ref) <= 1e-9 * np.linalg.norm(x_chol)
 
@@ -32,7 +37,7 @@ class TestDenseSpdSolve:
         M = random_spd(40, seed=5)
         rng = np.random.default_rng(10)
         b = rng.standard_normal(40)
-        x = dense_spd_solve(M, b)
+        x = covariance_solve(M, b)
         relres = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
         assert relres <= 1e-12 * np.linalg.cond(M)
 
@@ -45,22 +50,22 @@ class TestDenseSpdSolve:
         for M in (np.asfortranarray(random_spd(6, seed=4)), np.array([[4.0]]), hermitian):
             b = np.ones(M.shape[0], dtype=M.dtype)
             before = M.copy(), b.copy()
-            x = dense_spd_solve(M, b)
+            x = covariance_solve(M, b)
             assert np.array_equal(M, before[0]) and np.array_equal(b, before[1])
             assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPositiveDefiniteError):
-            dense_spd_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+            covariance_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            dense_spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+            covariance_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
     def test_rejects_ill_conditioned(self):
         # positive definite, so Cholesky succeeds; cond_1 = 1e15
         with pytest.raises(IllConditionedError) as excinfo:
-            dense_spd_solve(np.diag([1.0, 1e-15]), np.ones(2))
+            covariance_solve(np.diag([1.0, 1e-15]), np.ones(2))
         assert excinfo.value.condition == pytest.approx(1e15)
 
     @pytest.mark.parametrize(
@@ -74,4 +79,4 @@ class TestDenseSpdSolve:
     )
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NotPositiveDefiniteError):
-            dense_spd_solve(np.array(bad), np.ones(2))
+            covariance_solve(np.array(bad), np.ones(2))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dA_dm, dense_forward_matrix
+from conftest import dA_dm, dense_forward_matrix, propagator
 from xfwi import (
     Acquisition,
     Dataset,
@@ -13,7 +13,6 @@ from xfwi import (
     assemble_A,
     dot_test,
     forward_F,
-    forward_operator,
     kernel_k,
 )
 from xfwi import linops
@@ -326,6 +325,17 @@ class TestForward:
         with pytest.raises(SingularGeometryError):
             line_acquisition([0.0, 1.0], nt=64, dt=0.01)
 
+    def test_positions_are_read_only_copies(self):
+        # the geometry is checked once, on construction, so it must not change
+        src, rec = np.zeros(3), np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        acq = Acquisition(src, rec, nt=64, dt=0.01)
+        rec[0] = src  # would put a receiver at the source
+        src[0] = 2.0
+        assert np.array_equal(acq.distances(), [1.0, 2.0])
+        for positions in (acq.source_position, acq.receiver_positions):
+            with pytest.raises(ValueError):
+                positions[0] = 1.5
+
     def test_bad_source_rejected(self):
         acq = line_acquisition([1.0], nt=64, dt=0.01)
         with pytest.raises(RejectedInputError):
@@ -337,7 +347,7 @@ class TestForward:
 class TestAdjoint:
     def test_dot_test(self):
         acq = line_acquisition([0.8, 1.0, 1.2], nt=128, dt=0.008)
-        assert dot_test(forward_operator(2.1, acq), trials=10, seed=4) <= 1e-10
+        assert dot_test(propagator(2.1, acq), trials=10, seed=4) <= 1e-10
 
     def test_round_trip_peaks_at_zero(self):
         acq = line_acquisition([1.0], nt=128, dt=0.008)

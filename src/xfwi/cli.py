@@ -462,6 +462,23 @@ def _velocity_tag(c):
     return f"{c:g}"
 
 
+class _AppendVelocity(argparse.Action):
+    """Append a ``--c`` velocity; one whose file tag repeats another's is a usage error.
+
+    The error is raised while the ``extsrc`` subparser parses, so its usage
+    line is the one printed.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        velocities = [*(getattr(namespace, self.dest) or ()), values]
+        tags = [_velocity_tag(c) for c in velocities]
+        if len(set(tags)) < len(tags):  # one velocity's files would overwrite another's
+            raise argparse.ArgumentError(
+                self, f"velocities {velocities} repeat a file tag: {tags}"
+            )
+        setattr(namespace, self.dest, velocities)
+
+
 def _velocity(text):
     c = float(text)  # argparse reports a ValueError as an invalid value
     if not 0 < c < np.inf:
@@ -498,7 +515,7 @@ def build_parser():
             p.add_argument(
                 "--c",
                 type=_velocity,
-                action="append",
+                action=_AppendVelocity,
                 help="trial velocity in km/s (repeatable, each distinct to 6 "
                 "significant digits, which name its files; default 1.8 and 2.2)",
             )
@@ -510,9 +527,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        tags = [_velocity_tag(c) for c in getattr(args, "c", None) or ()]
-        if len(set(tags)) < len(tags):  # one velocity's files would overwrite another's
-            parser.error(f"argument --c: velocities {args.c} repeat a file tag: {tags}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     run = None

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .errors import (
     DimensionMismatchError,
@@ -165,6 +166,89 @@ def _sensitivity(prob, A):
     return GH, 0.5 * (K + K.conj().T)
 
 
+def _operator_slots(A, adjoint=False):
+    """The columns of a square ``A`` (of ``A^H`` with ``adjoint``) as slot arrays.
+
+    Returns ``(rows, values)``: line ``j`` of ``values`` holds the candidate
+    entries of column ``j`` at the row indices in line ``j`` of ``rows``
+    (broadcast), which increase along it. A tridiagonal ``A`` has three
+    slots per line, at rows ``j - 1, j, j + 1``; the two that fall off the
+    grid hold exact zeros.
+    """
+    n = A.range_dim
+    if isinstance(A, TridiagonalOperator):
+        rows = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+        # column j of A^H is conj(A[j, :]): the diagonals swap, then conjugate
+        above, below = (A.lower, A.upper) if adjoint else (A.upper, A.lower)
+        vals = np.zeros((n, 3), dtype=complex)
+        vals[1:, 0] = above
+        vals[:, 1] = A.diag
+        vals[:-1, 2] = below
+        return rows, np.conjugate(vals, out=vals) if adjoint else vals
+    a = A.to_dense()
+    return np.arange(n, dtype=np.int32), a.conj() if adjoint else a.T
+
+
+def _covariance_slots(cov):
+    """The columns of a covariance as slot arrays, as in :func:`_operator_slots`."""
+    idx = np.arange(cov.dim, dtype=np.int32)
+    if cov.kind == cov.DIAGONAL:
+        return idx[:, None], cov._diag[:, None]
+    return idx, cov._matrix.T
+
+
+def _joint_matrix(prob, A):
+    """The augmented (KKT) matrix of :func:`_joint_solve` as a ``csc_array``.
+
+    Built in one step from int32 indices and the operators' own arrays. Each
+    block column lines up the slot arrays of its blocks from the top down,
+    so its lines, read in order with the exact zeros dropped, are the sorted
+    CSC arrays of its columns; all lines share one buffer, so one gather
+    gives the matrix's data and indices. The matrix holds what
+    ``scipy.sparse.bmat`` of the blocks would, entry for entry and in the
+    same order.
+    """
+    from scipy.sparse import csc_array
+
+    n, k = prob.state_dim, prob.data_dim
+    rec = prob.P.receiver_indices.astype(np.int32)
+    # P has a 1 at row n + j of column rec[j] and nothing in the other columns
+    sel_rows = np.zeros((n, 1), dtype=np.int32)
+    sel_rows[rec, 0] = np.arange(n, n + k, dtype=np.int32)
+    a_rows, a_vals = _operator_slots(A)
+    ah_rows, ah_vals = _operator_slots(A, adjoint=True)
+    p_rows, p_vals = _covariance_slots(prob.sigma_p)
+    m_rows, m_vals = _covariance_slots(prob.sigma_m)
+    groups = [  # the blocks of each block column, from the top down
+        [(p_rows, p_vals), (ah_rows + (n + k), ah_vals)],  # lam
+        [(m_rows + n, m_vals), (rec[:, None] + (n + k), np.ones((k, 1)))],  # mu
+        [(a_rows, a_vals), (sel_rows, sel_rows > 0)],  # u
+    ]
+    # the slot lines of the three block columns, end to end in one buffer
+    depths = [sum(v.shape[1] for _, v in blocks) for blocks in groups]
+    total = n * depths[0] + k * depths[1] + n * depths[2]
+    vals = np.empty(total, dtype=complex)
+    rows = np.empty(total, dtype=np.int32)
+    keep = np.empty(total, dtype=bool)
+    counts, start = [], 0
+    for blocks, width, depth in zip(groups, (n, k, n), depths):
+        stop = start + width * depth
+        V, R, nz = (x[start:stop].reshape(width, depth) for x in (vals, rows, keep))
+        col = 0
+        for r, v in blocks:
+            V[:, col:col + v.shape[1]] = v
+            R[:, col:col + v.shape[1]] = r
+            col += v.shape[1]
+        np.not_equal(V, 0, out=nz)
+        # counted down a transposed copy: numpy sums along short lines slowly
+        counts.append(np.ascontiguousarray(nz.T).sum(axis=0, dtype=np.int32))
+        start = stop
+    size = 2 * n + k
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return csc_array((vals[keep], rows[keep], indptr), (size, size))
+
+
 def _joint_solve(prob, A):
     """Solve the augmented system of the joint objective; return ``(lam, mu, u)``.
 
@@ -176,30 +260,16 @@ def _joint_solve(prob, A):
          [A^H,     P^H,     0]]    [u  ]   [0]
 
     Its solution holds the joint optimum ``u``, ``lam = sigma_p^{-1} (q - A u)``
-    and ``mu = sigma_m^{-1} (d - P u)``. The blocks come from the operators' own
-    data: the diagonals of a tridiagonal ``A`` (a dense ``A`` otherwise), the
-    receiver indices, each covariance's diagonal or matrix. One sparse LU
-    and one step of iterative refinement from it give the solution.
+    and ``mu = sigma_m^{-1} (d - P u)``. :func:`_joint_matrix` assembles it
+    directly in CSC from the operators' own data: the diagonals of a
+    tridiagonal ``A`` (a dense ``A`` otherwise), the receiver indices, each
+    covariance's diagonal or matrix. One sparse LU and one step of iterative
+    refinement from it give the solution.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    def block(cov):
-        if cov.kind == cov.DIAGONAL:
-            return sparse.diags_array(cov._diag)
-        return sparse.csc_array(cov.to_dense())
-
     n, k = prob.state_dim, prob.data_dim
-    if isinstance(A, TridiagonalOperator):
-        A = sparse.diags_array([A.lower, A.diag, A.upper], offsets=[-1, 0, 1])
-    else:
-        A = sparse.csc_array(A.to_dense())
-    P = sparse.coo_array((np.ones(k), (np.arange(k), prob.P.receiver_indices)), (k, n))
-    M = sparse.bmat(
-        [[block(prob.sigma_p), None, A], [None, block(prob.sigma_m), P],
-         [A.conj().T, P.T, None]],
-        format="csc", dtype=complex,
-    )
+    M = _joint_matrix(prob, A)
     try:
         lu = splu(M)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
@@ -494,7 +564,9 @@ def verify_matrix_identity(prob, m):
     with ``B = A^H Sp^{-1} A``, densely, and returns
     ``max|LHS - RHS| / max|RHS|``. This is the one place the Gram ``B`` and
     the normal matrix ``N = B + P^H Sm^{-1} P`` are formed, so it accepts
-    only ``n <= IDENTITY_MAX_N``.
+    only ``n <= IDENTITY_MAX_N``. ``B = C^H C`` is formed from the whitened
+    operator ``C = L^{-1} A``, ``Sp = L L^H`` (BLAS ``herk``), so it is
+    Hermitian by construction.
     """
     if prob.state_dim > IDENTITY_MAX_N:
         raise RejectedInputError(
@@ -502,12 +574,14 @@ def verify_matrix_identity(prob, m):
         )
     A = prob.A_builder(m).to_dense()
     Pd = prob.P.to_dense().astype(complex)
-    G = A.conj().T @ prob.sigma_p.solve(A)
-    N = G + Pd.conj().T @ prob.sigma_m.solve(Pd)
+    B = zherk(1.0, prob.sigma_p.whiten(A), trans=2, lower=1)  # lower triangle only
+    B += B.conj().T  # the mirror image doubles the real diagonal, halved below
+    B.flat[:: len(B) + 1] *= 0.5
+    N = B + Pd.conj().T @ prob.sigma_m.solve(Pd)
     N = 0.5 * (N + N.conj().T)
     Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
     lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
-    BinvPH = _spd_solve(0.5 * (G + G.conj().T), Pd.conj().T, "Gram matrix")
+    BinvPH = _spd_solve(B, Pd.conj().T, "Gram matrix")
     K = Pd @ BinvPH
     rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
     return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))

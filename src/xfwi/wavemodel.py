@@ -226,11 +226,14 @@ def _dominance_bound(A):
     ``2 |d_j| - s_j`` with ``s_j`` the column's absolute sum, less
     ``8 eps s_j``, which covers the rounding of the absolute values, the
     sums and the subtraction, so no computed bound falls below the exact one.
+    The absolute values of an off-diagonal that serves as both (as
+    :func:`assemble_A` builds it) are taken once.
     """
     a = np.abs(A.diag)
     col = a.copy()
-    col[1:] += np.abs(A.upper)
-    col[:-1] += np.abs(A.lower)
+    upper = np.abs(A.upper)
+    col[1:] += upper
+    col[:-1] += upper if A.lower is A.upper else np.abs(A.lower)
     alpha = (2.0 * a - (1.0 + 8.0 * _EPS) * col).min()
     return col.max() / alpha if alpha > 0 else np.inf
 

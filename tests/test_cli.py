@@ -350,7 +350,10 @@ class TestExtsrcCommand:
         out = tmp_path / "out"
         argv = ["extsrc", "--out", str(out)] + [f"--c={c}" for c in values]
         assert main(argv) == 2
-        assert "repeat a file tag" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "repeat a file tag" in err
+        # reported by the extsrc subparser, under its own usage line
+        assert err.startswith("usage: xfwi extsrc ")
         assert not out.exists()
 
     def test_zero_measurement_weight_exits_1(self, tmp_path):

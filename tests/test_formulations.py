@@ -129,6 +129,88 @@ def random_operator_problem(rng, q, d):
     )
 
 
+def bmat_joint_matrix(prob, A):
+    """The joint (KKT) matrix from ``scipy.sparse.bmat`` of its dense blocks."""
+    from scipy import sparse
+
+    def block(X):
+        return sparse.csc_array(X)  # keeps the nonzeros only
+
+    Ad = block(A.to_dense())
+    P = block(prob.P.to_dense())
+    return sparse.bmat(
+        [[block(prob.sigma_p.to_dense()), None, Ad],
+         [None, block(prob.sigma_m.to_dense()), P],
+         [Ad.conj().T, P.T, None]],
+        format="csc", dtype=complex,
+    )
+
+
+def assert_joint_matrix_matches_bmat(prob, A):
+    M, ref = formulations._joint_matrix(prob, A), bmat_joint_matrix(prob, A)
+    assert M.format == "csc" and M.shape == ref.shape
+    assert np.array_equal(M.indptr, ref.indptr)
+    assert np.array_equal(M.indices, ref.indices)
+    assert M.data.dtype == ref.data.dtype and M.data.tobytes() == ref.data.tobytes()
+
+
+def banded_covariance(dim, rng):
+    """A dense covariance whose entries beyond the first off-diagonal are exactly 0."""
+    off = 0.3 * np.exp(2j * np.pi * rng.random(dim - 1))  # diagonally dominant
+    M = np.diag(1.0 + rng.random(dim)) + np.diag(off, -1) + np.diag(off.conj(), 1)
+    return CovarianceSpec.dense(M)
+
+
+class TestJointMatrix:
+    """The direct CSC build of the joint system, entry for entry against ``bmat``."""
+
+    @pytest.mark.parametrize("boundary", ["sommerfeld", "dirichlet"])
+    @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
+    def test_helmholtz_operator(self, cov_kind, boundary):
+        prob, m = make_helmholtz_instance(seed=60, cov_kind=cov_kind, boundary=boundary)
+        assert_joint_matrix_matches_bmat(prob, prob.A_builder(m))
+
+    def test_mixed_kinds_and_receivers_out_of_order(self):
+        rng = np.random.default_rng(61)
+        prob, m = make_helmholtz_instance(seed=61, receivers=(17, 0, 9, 19))
+        prob = dataclasses.replace(
+            prob, sigma_m=random_covariance("diagonal", 4, 1.0, rng)
+        )
+        assert_joint_matrix_matches_bmat(prob, prob.A_builder(m))
+
+    def test_nonsymmetric_tridiagonal_operator(self):
+        # distinct off-diagonals, one of them with an exact zero
+        rng = np.random.default_rng(64)
+        prob, _ = make_helmholtz_instance(seed=64)
+        lower, diag, upper = (
+            rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (19, 20, 19)
+        )
+        lower[5] = 0.0
+        assert_joint_matrix_matches_bmat(prob, TridiagonalOperator(lower, diag, upper))
+
+    def test_dense_operator(self):
+        rng = np.random.default_rng(62)
+        prob = random_operator_problem(rng, np.zeros(15), np.zeros(3))
+        assert_joint_matrix_matches_bmat(prob, prob.A_builder(np.ones(15)))
+
+    def test_exact_zeros_are_dropped(self):
+        # zeros off the diagonal of both weights, and an operator with a zero
+        # column: none of them is stored
+        rng = np.random.default_rng(63)
+        prob, m = make_helmholtz_instance(seed=63)
+        prob = dataclasses.replace(
+            prob, sigma_p=banded_covariance(20, rng), sigma_m=banded_covariance(3, rng)
+        )
+        assert_joint_matrix_matches_bmat(prob, prob.A_builder(m))
+        A = prob.A_builder(m).to_dense().copy()
+        A[:, 4] = 0.0
+        assert_joint_matrix_matches_bmat(prob, DenseOperator(A))
+        n, k = 20, 3
+        assert formulations._joint_matrix(prob, DenseOperator(A)).nnz == (
+            (3 * n - 2) + (3 * k - 2) + 2 * (np.count_nonzero(A) + k)
+        )
+
+
 class TestSolveState:
     def test_consistent_data_recovers_clean_state(self):
         prob, m = make_helmholtz_instance(seed=1, data="consistent")

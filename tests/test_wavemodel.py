@@ -144,6 +144,24 @@ class TestConditionCheck:
         exact = float(abs(np.linalg.cond(A.to_dense(), 1)))
         assert exact <= _dominance_bound(A) <= 2.0 * exact
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_dominance_bound_takes_a_shared_off_diagonal_once(self, n, boundary):
+        # assemble_A passes one array as both off-diagonals; the bound is bit
+        # for bit the formula with the two absolute values taken apart
+        prob, m = grad_instance(n, boundary)
+        A = prob.A_builder(m)
+        assert A.lower is A.upper
+        a = np.abs(A.diag)
+        col = a.copy()
+        col[1:] += np.abs(A.upper)
+        col[:-1] += np.abs(A.lower)
+        alpha = (2.0 * a - (1.0 + 8.0 * np.finfo(float).eps) * col).min()
+        assert alpha > 0
+        assert _dominance_bound(A) == col.max() / alpha
+        apart = TridiagonalOperator(A.lower.copy(), A.diag, A.upper)
+        assert _dominance_bound(apart) == col.max() / alpha
+
     def test_dominance_bound_never_below_the_exact_one(self):
         # Margins of 2^-52 to 2^-30 of the column sums, where rounding in
         # 2 |d_j| - s_j is of the margin's own size; the exact Varah bound of

@@ -107,9 +107,15 @@ class TridiagonalOperator(LinearOperator):
     ``upper[k] = A[k, k + 1]``. Products cost O(n); the operator is factored
     once with LAPACK ``gttrf`` (partial pivoting), and every later solve,
     forward or adjoint, and the condition estimate reuse that factor.
+
+    With ``blocks = b`` the operator is a stack: ``b`` diagonal blocks of
+    equal order whose couplings (the off-diagonal entries between two
+    blocks) are exact zeros. ``gttrf`` then never interchanges rows across a
+    block boundary, so each block's slice of the factor, and of every solve,
+    is bit for bit the block's own.
     """
 
-    def __init__(self, lower, diag, upper):
+    def __init__(self, lower, diag, upper, blocks=1):
         diag = np.asarray(diag, dtype=complex)
         lower = np.asarray(lower, dtype=complex)
         upper = np.asarray(upper, dtype=complex)
@@ -119,10 +125,16 @@ class TridiagonalOperator(LinearOperator):
                 f"tridiagonal operator needs diagonals of lengths n - 1, n, n - 1; "
                 f"got {lower.shape}, {diag.shape}, {upper.shape}"
             )
+        if not (blocks >= 1 and n % blocks == 0):
+            raise DimensionMismatchError(f"cannot split order {n} into {blocks} blocks")
+        nb = n // blocks
+        if blocks > 1 and (lower[nb - 1::nb].any() or upper[nb - 1::nb].any()):
+            raise RejectedInputError("couplings between blocks must be exact zeros")
         super().__init__(n, n)
         self.lower = lower
         self.diag = diag
         self.upper = upper
+        self.blocks = blocks
         self._factor = None
 
     def matvec(self, x):
@@ -155,25 +167,37 @@ class TridiagonalOperator(LinearOperator):
     def solve(self, b, adjoint=False):
         *factor, info = self._lu()
         if info > 0:
+            block, row = divmod(info - 1, self.range_dim // self.blocks)
+            where = f" of block {block}" if self.blocks > 1 else ""
             raise IllConditionedError(
-                f"tridiagonal operator is singular: zero pivot at row {info}"
+                f"tridiagonal operator is singular: zero pivot at row {row + 1}{where}"
             )
         x, _ = zgttrs(*factor, b, trans="C" if adjoint else "N")
         return x
 
-    def condition(self):
+    def condition(self, block=None):
         """1-norm condition number, estimated in O(n) from the cached factor.
 
         The norm of ``A`` is exact (largest column sum of the three
         diagonals); the norm of ``A^{-1}`` is LAPACK's Hager-Higham estimate
         (``gtcon``), which can only fall short of the true value. A zero
-        pivot gives ``inf``.
+        pivot gives ``inf``. With ``block = i`` it is the condition number of
+        the stack's block ``i`` alone, from that block's slice of the factor
+        (its row interchanges shifted to the block's own rows), which is the
+        block's own factor.
         """
-        col = np.abs(self.diag)
-        col[1:] += np.abs(self.upper)
-        col[:-1] += np.abs(self.lower)
-        *factor, _ = self._lu()
-        rcond, _ = zgtcon(*factor, float(col.max()))
+        dl, d, du, du2, ipiv, _ = self._lu()
+        lower, diag, upper = self.lower, self.diag, self.upper
+        if block is not None:
+            nb = self.range_dim // self.blocks
+            s = block * nb
+            lower, diag, upper = lower[s:s + nb - 1], diag[s:s + nb], upper[s:s + nb - 1]
+            dl, d, du = dl[s:s + nb - 1], d[s:s + nb], du[s:s + nb - 1]
+            du2, ipiv = du2[s:s + nb - 2], ipiv[s:s + nb] - s
+        col = np.abs(diag)
+        col[1:] += np.abs(upper)
+        col[:-1] += np.abs(lower)
+        rcond, _ = zgtcon(dl, d, du, du2, ipiv, float(col.max()))
         return np.inf if rcond == 0 else 1.0 / rcond
 
 
@@ -413,14 +437,16 @@ class CovarianceSpec:
                    cond=float(spd_condition(factor, np.linalg.norm(M, 1))))
 
     def _check_dim(self, x):
+        # a vector, or a matrix of columns (or a stack of them: leading axes)
         x = np.asarray(x)
-        if x.shape[0] != self.dim:
+        if x.shape[0 if x.ndim == 1 else -2] != self.dim:
             raise DimensionMismatchError(
                 f"covariance dim is {self.dim}, got array of shape {x.shape}"
             )
         return x
 
     def apply(self, x):
+        """``sigma x`` for a vector, a matrix of columns or a stack of such matrices."""
         x = self._check_dim(x)
         if self.kind == self.DIAGONAL:
             return self._diag * x if x.ndim == 1 else self._diag[:, None] * x

@@ -83,11 +83,15 @@ class HelmholtzModel1D:
 
 
 def medium_values(m):
-    """Squared slowness (s^2/km^2) on the grid as a checked float array."""
+    """Squared slowness (s^2/km^2) on the grid as a checked float array.
+
+    One medium of shape ``(n,)``, or a stack of ``b`` media of shape
+    ``(b, n)``: one bad value anywhere rejects the whole stack.
+    """
     v = np.asarray(m, dtype=float)
     # min > 0 rejects zeros, negatives, -inf and NaN (which min propagates);
     # max < inf rejects +inf. An empty array has neither and passes.
-    if v.ndim != 1 or (v.size and not (v.min() > 0 and v.max() < np.inf)):
+    if v.ndim not in (1, 2) or (v.size and not (v.min() > 0 and v.max() < np.inf)):
         raise RejectedInputError("medium values must be finite and > 0")
     return v
 
@@ -172,70 +176,84 @@ class KernelPanels:
 def assemble_A(model, m):
     """Assemble the tridiagonal Helmholtz operator ``A(m) = L + omega^2 diag(m)``.
 
-    For ``n <= 600`` the operator's 1-norm condition number is checked
+    For a stack of ``b`` media, shape ``(b, n)``, it returns the
+    block-diagonal operator of their ``b`` operators, in order, as one
+    :class:`~xfwi.linops.TridiagonalOperator` of ``b`` blocks whose couplings
+    are exact zeros; one medium, shape ``(n,)``, is the case ``b = 1``. The
+    media are checked together (:func:`medium_values`), and each block is
+    guarded on its own.
+
+    For ``n <= 600`` each block's 1-norm condition number is checked
     against 1e14, in O(n) and in two steps. First a free upper bound from
     the three diagonals: when every column is strictly diagonally dominant,
     by at least ``alpha``, ``||A^{-1}||_1 <= 1 / alpha`` (Varah, LAA 1975),
     so ``cond_1 <= ||A||_1 / alpha``. A rounding allowance of a few ulps of
     the column sums keeps the computed bound above the true one. Only when
-    that bound is not below 1e14 (or does not exist) is the operator
-    factored (LAPACK ``gttrf``) and ``cond_1`` estimated from the factor
-    with LAPACK ``gtcon`` (Hager-Higham); then ``min(bound, estimate)`` not
-    below 1e14 raises :class:`~xfwi.errors.IllConditionedError` carrying
-    it. The estimate never exceeds ``cond_1``, which never exceeds the
-    bound, so the bound rejects nothing the estimate would accept. A factor
-    taken here is cached on the returned operator, so later solves do not
-    factor again. Larger grids skip the check: there the estimate would
-    cost about as much as the solves of a whole reduced objective.
+    some block's bound is not below 1e14 (or does not exist) is the
+    operator factored (LAPACK ``gttrf``) and that block's ``cond_1``
+    estimated from its slice of the factor with LAPACK ``gtcon``
+    (Hager-Higham); then ``min(bound, estimate)`` not below 1e14 raises
+    :class:`~xfwi.errors.IllConditionedError` carrying it. The estimate
+    never exceeds ``cond_1``, which never exceeds the bound, so the bound
+    rejects nothing the estimate would accept. A factor taken here is cached
+    on the returned operator, so later solves do not factor again. Larger
+    grids skip the check: there the estimate would cost about as much as the
+    solves of a whole reduced objective.
 
     Parameters
     ----------
     model : HelmholtzModel1D
     m : array
-        Squared slowness per grid point, length ``model.n``.
+        Squared slowness per grid point, shape ``(model.n,)`` or
+        ``(b, model.n)``.
 
     Returns
     -------
     TridiagonalOperator
     """
     v = medium_values(m)
-    if len(v) != model.n:
+    if v.shape[-1] != model.n:
         raise DimensionMismatchError(
-            f"model has {model.n} grid points, medium has {len(v)}"
+            f"model has {model.n} grid points, medium has {v.shape[-1]}"
         )
     n, h, omega = model.n, model.h, model.omega
-    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    b = v.size // n
+    off = np.full(b * n - 1, -1.0 / h**2, dtype=complex)
+    off[n - 1::n] = 0.0  # the couplings between blocks
     diag = (2.0 / h**2 + omega**2 * v).astype(complex)
     if model.boundary == BOUNDARY_SOMMERFELD:
         impedance = 1j * omega * np.sqrt(model.boundary_m0) / h
-        for k in (0, n - 1):
-            diag[k] = 1.0 / h**2 + omega**2 * v[k] - impedance
-    A = TridiagonalOperator(off, diag, off)
+        ends = slice(None, None, n - 1)  # columns 0 and n - 1
+        diag[..., ends] = 1.0 / h**2 + omega**2 * v[..., ends] - impedance
+    A = TridiagonalOperator(off, diag.reshape(-1), off, blocks=b)
     if n <= _COND_CHECK_MAX_N:
-        bound = _dominance_bound(A)
-        if not bound < _COND_LIMIT:
-            check_condition(min(bound, A.condition()), "assembled operator")
+        bounds = _dominance_bound(A)
+        for i in np.flatnonzero(~(bounds < _COND_LIMIT)):
+            check_condition(min(bounds[i], A.condition(i)), "assembled operator")
     return A
 
 
 def _dominance_bound(A):
-    """Upper bound on ``cond_1`` of a tridiagonal ``A`` from column diagonal dominance.
+    """Upper bounds on ``cond_1`` of each block of a tridiagonal ``A`` from column dominance.
 
-    ``||A||_1 / min_j (|d_j| - |u_{j-1}| - |l_j|)`` (Varah, LAA 1975), or
-    ``inf`` when some column is not dominant. Each margin is computed as
-    ``2 |d_j| - s_j`` with ``s_j`` the column's absolute sum, less
-    ``8 eps s_j``, which covers the rounding of the absolute values, the
-    sums and the subtraction, so no computed bound falls below the exact one.
-    The absolute values of an off-diagonal that serves as both (as
-    :func:`assemble_A` builds it) are taken once.
+    ``||A||_1 / min_j (|d_j| - |u_{j-1}| - |l_j|)`` per block (Varah, LAA
+    1975), or ``inf`` for a block with a column that is not dominant; an
+    array of ``A.blocks`` bounds. Each margin is computed as ``2 |d_j| - s_j``
+    with ``s_j`` the column's absolute sum, less ``8 eps s_j``, which covers
+    the rounding of the absolute values, the sums and the subtraction, so no
+    computed bound falls below the exact one. The couplings between blocks
+    are exact zeros, so the sums run down the whole stack and each block's
+    sums are its own. The absolute values of an off-diagonal that serves as
+    both (as :func:`assemble_A` builds it) are taken once.
     """
     a = np.abs(A.diag)
     col = a.copy()
     upper = np.abs(A.upper)
     col[1:] += upper
     col[:-1] += upper if A.lower is A.upper else np.abs(A.lower)
-    alpha = (2.0 * a - (1.0 + 8.0 * _EPS) * col).min()
-    return col.max() / alpha if alpha > 0 else np.inf
+    alpha = (2.0 * a - (1.0 + 8.0 * _EPS) * col).reshape(A.blocks, -1).min(axis=1)
+    norm = col.reshape(A.blocks, -1).max(axis=1)
+    return np.divide(norm, alpha, out=np.full(A.blocks, np.inf), where=alpha > 0)
 
 
 # ---------------------------------------------------------------------------

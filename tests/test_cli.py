@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from xfwi.cli import DEFAULT_CONFIG, _toy_config, main, write_csv
-from xfwi.formulations import IDENTITY_MAX_N
+from conftest import fd_gradient_per_medium
+from xfwi.cli import DEFAULT_CONFIG, _toy_config, gradient_problem, main, write_csv
+from xfwi.formulations import IDENTITY_MAX_N, grad_phi
 from xfwi.toy import estimate_extended_source
 
 SMALL_TOY = {
@@ -242,6 +243,23 @@ class TestGradCheck:
         cfg = write_config(tmp_path, {"grad": {"n": 100}})
         out = tmp_path / "out"
         assert main(["grad-check", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("seed", [42, 12])
+    def test_n100_csv_is_the_per_medium_loops(self, tmp_path, seed):
+        # gradient.csv byte for byte as the loop of one reduced pass per
+        # perturbed medium writes it
+        cfg = write_config(tmp_path, {"grad": {"n": 100}})
+        out = tmp_path / "out"
+        assert main(["grad-check", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        prob, m = gradient_problem(dict(DEFAULT_CONFIG["grad"], n=100), seed)
+        analytic = grad_phi(prob, m)
+        fd = fd_gradient_per_medium(prob, m)
+        rel = np.abs(analytic - fd) / (np.abs(fd) + 1e-9 * (1.0 + np.max(np.abs(fd))))
+        write_csv(tmp_path / "expected.csv",
+                  ["component_k", "analytic", "fd_central", "rel_err"],
+                  [np.arange(100), analytic, fd, rel])
+        expected = (tmp_path / "expected.csv").read_bytes()
+        assert (out / "gradient.csv").read_bytes() == expected
 
     def test_consistent_data_gradient_vanishes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 10, "data": "consistent"}})

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dA_dm, make_helmholtz_instance, scaled_problem
+from conftest import dA_dm, fd_gradient_per_medium, make_helmholtz_instance, scaled_problem
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
@@ -31,6 +31,7 @@ from xfwi import formulations
 from xfwi.cli import random_covariance
 from xfwi import linops
 from xfwi.errors import (
+    DimensionMismatchError,
     IllConditionedError,
     RejectedInputError,
     UnsupportedGeometryError,
@@ -104,7 +105,8 @@ def two_by_two_problem(eps):
     """
     A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
     return Problem(
-        A_builder=lambda m: DenseOperator(A),
+        # a stack of b media gets A once per medium down the diagonal
+        A_builder=lambda m: DenseOperator(np.kron(np.eye(len(np.atleast_2d(m))), A)),
         dA_contract=lambda v, w: np.zeros(2),
         P=SamplingOperator([0, 1], 2),
         q=np.array([1.0, 0.0]),
@@ -835,7 +837,7 @@ class TestFactorizationInputs:
         [
             (phi_reduced, 1),
             (grad_phi, 1),
-            (fd_gradient, 80),  # 4 n reduced passes at n = 20
+            (fd_gradient, 80),  # one K + sigma_m per medium, 4 n media at n = 20
             (verify_equivalence, 1),
             (verify_matrix_identity, 2),
             (minimize_phi_extended_source, 1),
@@ -867,11 +869,11 @@ class TestFactorizationInputs:
         # matrix stays Hermitian, must still end in an error, never a value
         real = formulations._sensitivity
 
-        def poisoned(prob, A):
-            GH, K = real(prob, A)
+        def poisoned(prob, A, b=1):
+            GH, K = real(prob, A, b)
             K = K.copy()
-            K[i, j] = value
-            K[j, i] = np.conj(value)
+            K[..., i, j] = value
+            K[..., j, i] = np.conj(value)
             return GH, K
 
         monkeypatch.setattr(formulations, "_sensitivity", poisoned)
@@ -880,9 +882,73 @@ class TestFactorizationInputs:
             check(prob, m)
 
 
+class TestStackedFiniteDifferences:
+    """fd_gradient's media run as stacks and give the per-medium loop's bits."""
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
+    def test_bit_identical_to_one_pass_per_medium(self, cov_kind, boundary, n):
+        prob, m = make_helmholtz_instance(
+            seed=90, n=n, h=1.0 / n, omega=6.0, boundary=boundary,
+            receivers=(n // 6, n // 2, (5 * n) // 6), cov_kind=cov_kind,
+        )
+        assert fd_gradient(prob, m).tobytes() == fd_gradient_per_medium(prob, m).tobytes()
+
+    @pytest.mark.parametrize("per_group", [1, 7, 33])
+    def test_groups_of_any_size_give_the_same_bits(self, monkeypatch, per_group):
+        prob, m = grad_default_problem(20)
+        monkeypatch.setattr(formulations, "_FD_GROUP_ENTRIES", per_group * 20 * 4)
+        assert fd_gradient(prob, m).tobytes() == fd_gradient_per_medium(prob, m).tobytes()
+
+    @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
+    def test_each_block_of_a_stack_is_its_own_pass(self, cov_kind):
+        prob, m = make_helmholtz_instance(seed=91, cov_kind=cov_kind)
+        media = m * (1.0 + 0.01 * np.arange(5)[:, None])
+        reports, u0, GH, K = formulations._reduced(prob, prob.A_builder(media), 5)
+        assert (u0.shape, GH.shape, K.shape) == ((5, 20), (5, 20, 3), (5, 3, 3))
+        for i, medium in enumerate(media):
+            (own,), u0_i, GH_i, K_i = formulations._reduced(prob, prob.A_builder(medium))
+            mine = [reports[i].value, reports[i].residual, reports[i].weighted_residual,
+                    u0[i], GH[i], K[i]]
+            theirs = [own.value, own.residual, own.weighted_residual, u0_i[0], GH_i[0], K_i[0]]
+            assert [np.asarray(x).tobytes() for x in mine] == [
+                np.asarray(x).tobytes() for x in theirs
+            ]
+
+    def test_gttrf_runs_once_per_group(self, monkeypatch):
+        prob, m = grad_default_problem(20)
+        calls = []
+        real = linops.zgttrf
+        monkeypatch.setattr(linops, "zgttrf", lambda *a: calls.append(1) or real(*a))
+        fd_gradient_per_medium(prob, m)
+        assert len(calls) == 80
+        calls.clear()
+        fd_gradient(prob, m)  # the 80 media fit one group
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(formulations, "_FD_GROUP_ENTRIES", 7 * 20 * 4)
+        fd_gradient(prob, m)
+        assert len(calls) == 12  # 11 groups of 7 and one of 3
+
+    def test_builder_ignoring_the_stack_is_rejected(self):
+        rng = np.random.default_rng(37)
+        q = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        prob = random_operator_problem(rng, q, d)  # one 15 x 15 operator for any m
+        phi_reduced(prob, np.ones(15))  # one medium is fine
+        with pytest.raises(DimensionMismatchError):
+            fd_gradient(prob, np.ones(15))
+
+    def test_takes_one_medium_only(self):
+        prob, m = grad_default_problem(20)
+        with pytest.raises(RejectedInputError):
+            fd_gradient(prob, np.stack([m, m]))
+
+
 def test_lapack_calls_of_one_reduced_objective(monkeypatch):
-    # A deterministic guard on the per-call overhead of the evaluation that
-    # grad-check makes 4n times: one tridiagonal factor, no gtcon (the free
+    # A deterministic guard on the per-call overhead of a one-medium reduced
+    # evaluation: one tridiagonal factor, no gtcon (the free
     # bound settles the check), and one Cholesky factor, condition estimate
     # and solve of K + sigma_m.
     prob, m = grad_default_problem(100)

@@ -13,6 +13,8 @@ from xfwi import (
     dot_test,
     weighted_norm_sq,
 )
+from scipy.linalg.lapack import zgttrf
+
 from xfwi.linops import (
     TridiagonalOperator,
     _check_hermitian,
@@ -265,6 +267,18 @@ class TestCovarianceSpec:
             assert np.array_equal(M, before)
             assert np.array_equal(cov.to_dense(), before)
 
+    @pytest.mark.parametrize("kind", ["scaled", "diagonal", "dense"])
+    def test_apply_to_a_stack_is_apply_per_matrix(self, kind):
+        rng = np.random.default_rng(31)
+        cov = random_covariance(kind, 6, 1.0, rng)
+        X = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+        Y = cov.apply(X)
+        assert Y.shape == X.shape
+        for x, y in zip(X, Y):
+            assert y.tobytes() == cov.apply(x).tobytes()
+        with pytest.raises(DimensionMismatchError):
+            cov.apply(np.ones((4, 5, 3)))
+
     def test_dim_mismatch(self):
         cov = CovarianceSpec.scaled_identity(1.0, 3)
         with pytest.raises(DimensionMismatchError):
@@ -327,6 +341,96 @@ class TestTridiagonalOperator:
         assert np.allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-14)
         assert np.allclose(op.rmatvec(x), op.to_dense().conj().T @ x, rtol=1e-14)
         assert dot_test(op, trials=5, seed=20) <= 1e-14
+
+
+def random_blocks(rng, b, nb):
+    """``b`` random complex tridiagonal blocks of order ``nb``, far from dominant.
+
+    The diagonal is small against the off-diagonals, so ``gttrf`` interchanges
+    rows inside the blocks. Returns ``(lower, diag, upper)`` of shape
+    ``(b, nb - 1)``, ``(b, nb)``, ``(b, nb - 1)``.
+    """
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return draw(b, nb - 1), 0.3 * draw(b, nb), draw(b, nb - 1)
+
+
+def stacked(lower, diag, upper):
+    """The block-diagonal operator of per-block diagonals, couplings exactly zero."""
+    b = len(diag)
+    pad = np.zeros((b, 1), dtype=complex)
+    off_lower = np.hstack([lower, pad]).ravel()[:-1]
+    off_upper = np.hstack([upper, pad]).ravel()[:-1]
+    return TridiagonalOperator(off_lower, diag.ravel(), off_upper, blocks=b)
+
+
+class TestStackedTridiagonal:
+    """A stack of blocks with exact-zero couplings gives each block's own bits."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_factor_slices_are_the_blocks_own(self, seed):
+        rng = np.random.default_rng(seed)
+        b, nb = 5, 9
+        lower, diag, upper = random_blocks(rng, b, nb)
+        dl, d, du, du2, ipiv, info = stacked(lower, diag, upper)._lu()
+        assert info == 0
+        swaps = 0
+        for i in range(b):
+            s = i * nb
+            own = zgttrf(lower[i], diag[i], upper[i])
+            part = (dl[s:s + nb - 1], d[s:s + nb], du[s:s + nb - 1],
+                    du2[s:s + nb - 2], ipiv[s:s + nb] - s)
+            for x, y in zip(part, own[:5]):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            swaps += int(np.sum(own[4] != np.arange(1, nb + 1)))
+        assert swaps > 0  # the blocks are not dominant: rows were interchanged
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("rhs", [1, 3], ids=["one-rhs", "three-rhs"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solves_are_the_blocks_own(self, seed, rhs, adjoint):
+        rng = np.random.default_rng(100 + seed)
+        b, nb = 4, 12
+        lower, diag, upper = random_blocks(rng, b, nb)
+        shape = (b * nb,) if rhs == 1 else (b * nb, rhs)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if rhs > 1:
+            x = np.asfortranarray(x)
+        y = stacked(lower, diag, upper).solve(x, adjoint=adjoint)
+        for i in range(b):
+            rows = slice(i * nb, (i + 1) * nb)
+            own = TridiagonalOperator(lower[i], diag[i], upper[i])
+            assert y[rows].tobytes() == own.solve(x[rows], adjoint=adjoint).tobytes()
+
+    def test_block_condition_is_the_blocks_own(self):
+        rng = np.random.default_rng(7)
+        lower, diag, upper = random_blocks(rng, 3, 8)
+        op = stacked(lower, diag, upper)
+        for i in range(3):
+            assert op.condition(i) == TridiagonalOperator(lower[i], diag[i], upper[i]).condition()
+
+    def test_zero_pivot_in_one_block_raises(self):
+        rng = np.random.default_rng(8)
+        lower, diag, upper = random_blocks(rng, 3, 4)
+        # block 1's first two rows coincide, so elimination leaves a zero pivot
+        lower[1, 0], diag[1, :2], upper[1, 0], upper[1, 1] = 1.0, 1.0, 1.0, 0.0
+        info = zgttrf(lower[1], diag[1], upper[1])[-1]
+        assert info > 0
+        op = stacked(lower, diag, upper)
+        with pytest.raises(IllConditionedError, match=f"row {info} of block 1$"):
+            op.solve(np.ones(12))
+        assert op.condition(1) == np.inf
+        assert np.isfinite(op.condition(0)) and np.isfinite(op.condition(2))
+
+    def test_rejects_coupled_blocks_and_uneven_splits(self):
+        off = np.ones(5)
+        with pytest.raises(RejectedInputError):
+            TridiagonalOperator(off, np.ones(6), off, blocks=2)
+        with pytest.raises(DimensionMismatchError):
+            TridiagonalOperator(off, np.ones(6), off, blocks=4)
+        with pytest.raises(DimensionMismatchError):
+            TridiagonalOperator(off, np.ones(6), off, blocks=0)
 
 
 class TestHermitianCheck:

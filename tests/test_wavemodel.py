@@ -82,8 +82,8 @@ class TestAssembly:
     @pytest.mark.parametrize(
         "medium",
         [[1.0, np.inf, 1.0], [1.0, -np.inf, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
-         [[1.0, 1.0, 1.0]]],
-        ids=["inf", "-inf", "zero", "negative", "2-d"],
+         [[[1.0, 1.0, 1.0]]]],
+        ids=["inf", "-inf", "zero", "negative", "3-d"],
     )
     def test_rejects_each_bad_medium(self, medium):
         # medium_values reads only the min and the max; each must still reject
@@ -122,6 +122,80 @@ def gtcon_calls(monkeypatch):
 
     monkeypatch.setattr(linops, "zgtcon", counting)
     return calls
+
+
+class TestStackedAssembly:
+    """A ``(b, n)`` stack assembles to the block-diagonal of its media's operators."""
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    def test_blocks_are_the_media_operators(self, boundary):
+        rng = np.random.default_rng(3)
+        n = 30
+        model = HelmholtzModel1D(n, h=1.0 / n, omega=6.0, boundary=boundary)
+        media = rng.uniform(0.2, 0.4, (4, n))
+        A = assemble_A(model, media)
+        assert A.blocks == 4 and A.shape == (4 * n, 4 * n)
+        assert A.lower is A.upper
+        assert not A.lower[n - 1::n].any()
+        bounds = _dominance_bound(A)
+        assert bounds.shape == (4,)
+        for i, row in enumerate(media):
+            own = assemble_A(model, row)
+            rows = slice(i * n, (i + 1) * n)
+            assert A.diag[rows].tobytes() == own.diag.tobytes()
+            assert A.lower[i * n:(i + 1) * n - 1].tobytes() == own.lower.tobytes()
+            assert bounds[i] == _dominance_bound(own)[0]
+
+    def test_one_medium_is_a_stack_of_one(self):
+        m = np.random.default_rng(4).uniform(0.2, 0.4, 20)
+        model = HelmholtzModel1D(20, h=1.0 / 20, omega=6.0, boundary="sommerfeld")
+        one, stack = assemble_A(model, m), assemble_A(model, m[None])
+        assert one.blocks == stack.blocks == 1
+        for x, y in ((one.lower, stack.lower), (one.diag, stack.diag)):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf, -np.inf])
+    def test_one_bad_value_rejects_the_stack(self, bad):
+        model = HelmholtzModel1D(10, h=0.1, omega=6.0)
+        media = np.full((5, 10), 0.25)
+        media[3, 7] = bad
+        with pytest.raises(RejectedInputError):
+            assemble_A(model, media)
+        with pytest.raises(DimensionMismatchError):
+            assemble_A(model, np.full((5, 9), 0.25))
+
+    def test_estimate_taken_only_for_the_block_without_a_bound(self, gtcon_calls):
+        # At omega = 1e-6 a medium of 0.25 leaves the interior columns
+        # dominant by far less than rounding; one of 1e4 leaves them dominant
+        # by omega^2 m = 1e-8, and its bound settles the check.
+        n = 100
+        model = HelmholtzModel1D(n, h=1.0 / n, omega=1e-6, boundary="dirichlet")
+        media = np.full((3, n), 1e4)
+        media[1] = 0.25
+        A = assemble_A(model, media)
+        bounds = _dominance_bound(A)
+        assert bounds[1] == np.inf and np.all(bounds[[0, 2]] < 1e14)
+        assert len(gtcon_calls) == 1
+        assemble_A(model, media[1])  # the block alone
+        assert gtcon_calls[0] == gtcon_calls[1]
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "sommerfeld"])
+    def test_ill_conditioned_block_raises_its_own_condition(self, boundary):
+        # ahead of the bad block, one with no bound that gtcon accepts: at
+        # omega^2 m = 1e-12 it is the Laplacian, dominant by far less than rounding
+        n = 50
+        model = HelmholtzModel1D(n, h=1.0 / n, omega=1e9, boundary=boundary)
+        bad = np.where(np.arange(n) < n // 2, 1e-20, 1.0)
+        laplacian = np.full(n, 1e-30)
+        with pytest.raises(IllConditionedError) as alone:
+            assemble_A(model, bad)
+        stack = np.stack([np.ones(n), laplacian, bad, np.ones(n)])
+        assert list(_dominance_bound(assemble_A(model, stack[[0, 1, 3]])) < 1e14) == [
+            True, False, True
+        ]
+        with pytest.raises(IllConditionedError) as in_stack:
+            assemble_A(model, stack)
+        assert in_stack.value.condition == alone.value.condition > 1e14
 
 
 class TestConditionCheck:

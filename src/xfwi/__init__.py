@@ -36,7 +36,6 @@ from .formulations import (
     sigma_of_m,
     solve_state,
     verify_equivalence,
-    verify_matrix_identity,
 )
 from .linops import (
     CovarianceSpec,

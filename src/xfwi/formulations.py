@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .errors import (
     DimensionMismatchError,
@@ -45,7 +44,6 @@ from .linops import (
 )
 from .wavemodel import medium_values
 
-IDENTITY_MAX_N = 200  # largest n of the dense, entrywise identity check
 _FD_STEP = 1e-3  # relative step of fd_gradient, scaled per component
 # Entries (rows of the stacked operator times its receivers plus one) per
 # group of fd_gradient's media: 32 media at n = 100 with 3 receivers.
@@ -123,7 +121,8 @@ class EquivalenceReport:
 
     ``rel_gap = |phi_joint - phi_reduced| / (1 + phi_joint)``. The split
     errors compare ``u - u0``, ``P (u - u0)`` and ``sigma_p lam`` at the joint
-    optimum with their reduced-side closed forms (see :func:`verify_equivalence`).
+    optimum with their reduced-side closed forms, and ``identity_max_err``
+    the two sides of the push-through identity (see :func:`verify_equivalence`).
     """
 
     phi_joint: float
@@ -132,6 +131,7 @@ class EquivalenceReport:
     state_split_err: float
     data_split_err: float
     process_split_err: float
+    identity_max_err: float
 
     @property
     def max_intermediate_err(self):
@@ -213,7 +213,7 @@ def _covariance_slots(cov):
 
 
 def _joint_matrix(prob, A):
-    """The augmented (KKT) matrix of :func:`_joint_solve` as a ``csc_array``.
+    """The augmented (KKT) matrix of :func:`_joint_factor` as a ``csc_array``.
 
     Built in one step from int32 indices and the operators' own arrays. Each
     block column lines up the slot arrays of its blocks from the top down,
@@ -264,8 +264,8 @@ def _joint_matrix(prob, A):
     return csc_array((vals[keep], rows[keep], indptr), (size, size))
 
 
-def _joint_solve(prob, A):
-    """Solve the augmented system of the joint objective; return ``(lam, mu, u)``.
+def _joint_factor(prob, A):
+    """The solve of the augmented system of the joint objective, from one sparse LU.
 
     The system, of size ``2 n + n_rec``, holds the covariances as blocks and
     inverts none of them::
@@ -278,20 +278,29 @@ def _joint_solve(prob, A):
     and ``mu = sigma_m^{-1} (d - P u)``. :func:`_joint_matrix` assembles it
     directly in CSC from the operators' own data: the diagonals of a
     tridiagonal ``A`` (a dense ``A`` otherwise), the receiver indices, each
-    covariance's diagonal or matrix. One sparse LU and one step of iterative
-    refinement from it give the solution.
+    covariance's diagonal or matrix. The solve takes one right-hand side or
+    one per column, and adds one step of iterative refinement from the LU.
     """
     from scipy.sparse.linalg import splu
 
-    n, k = prob.state_dim, prob.data_dim
     M = _joint_matrix(prob, A)
     try:
         lu = splu(M)
     except RuntimeError as exc:  # SuperLU: the factor is exactly singular
         raise IllConditionedError(f"joint system is singular: {exc}") from exc
-    b = np.concatenate([prob.q, prob.d, np.zeros(n, dtype=complex)])
-    x = lu.solve(b)
-    x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5
+
+    def solve(b):
+        x = lu.solve(b)
+        x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5
+        return x
+
+    return solve
+
+
+def _joint_optimum(prob, solve):
+    """The joint optimum ``(lam, mu, u)``, from ``solve`` against ``[q; d; 0]``."""
+    n, k = prob.state_dim, prob.data_dim
+    x = solve(np.concatenate([prob.q, prob.d, np.zeros(n, dtype=complex)]))
     return x[:n], x[n:n + k], x[n + k:]
 
 
@@ -311,9 +320,9 @@ def solve_state(prob, m):
     ``u(m)`` solves the normal equations
     ``(A^H sigma_p^{-1} A + P^H sigma_m^{-1} P) u = A^H sigma_p^{-1} q + P^H sigma_m^{-1} d``;
     it is read off the ``u`` block of the augmented system (see
-    :func:`_joint_solve`), which never forms that normal matrix.
+    :func:`_joint_factor`), which never forms that normal matrix.
     """
-    return _joint_solve(prob, prob.A_builder(m))[2]
+    return _joint_optimum(prob, _joint_factor(prob, prob.A_builder(m)))[2]
 
 
 def _joint_value(prob, lam, mu):
@@ -332,7 +341,7 @@ def phi_joint(prob, m):
     ``weighted_residual = sigma_m^{-1} (P u - d) = -mu``. This is the
     oracle the reduced objective is checked against.
     """
-    lam, mu, u = _joint_solve(prob, prob.A_builder(m))
+    lam, mu, u = _joint_optimum(prob, _joint_factor(prob, prob.A_builder(m)))
     return ObjectiveReport(_joint_value(prob, lam, mu), prob.P.matvec(u) - prob.d, -mu)
 
 
@@ -368,8 +377,8 @@ def _reduced(prob, A, b=1):
     return [_weighted(prob, K[i], r[i]) for i in range(b)], u0, GH, K
 
 
-def _weighted(prob, K, r):
-    """The report ``r^H (K + sigma_m)^{-1} r`` of one medium, from its ``K`` and ``r``."""
+def _weight_solve(prob, K, b):
+    """``(K + sigma_m)^{-1} b`` for one medium's ``K``, by :func:`_spd_solve` and its gate."""
     sigma_m = prob.sigma_m
     if sigma_m.kind == sigma_m.DIAGONAL:
         W = K.copy()  # C order, so its ravel is a view and the diagonal a stride
@@ -377,11 +386,16 @@ def _weighted(prob, K, r):
     else:
         W = K + sigma_m.to_dense()
     try:
-        r_tilde = _spd_solve(W, r, "K + sigma_m")
+        return _spd_solve(W, b, "K + sigma_m")
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             f"weight matrix K + sigma_m is singular to tolerance: {exc}"
         ) from exc
+
+
+def _weighted(prob, K, r):
+    """The report ``r^H (K + sigma_m)^{-1} r`` of one medium, from its ``K`` and ``r``."""
+    r_tilde = _weight_solve(prob, K, r)
     z = np.vdot(r, r_tilde)
     if abs(z.imag) > 1e-10 * abs(z.real) + 1e-300:
         raise IllConditionedError(
@@ -599,55 +613,40 @@ def fd_gradient(prob, m):
 # verification
 
 
-def verify_matrix_identity(prob, m):
-    """Entrywise check of the push-through identity behind the reduction.
+def _identity_sides(prob, solve, A, GH, K):
+    """Both ``n x n_rec`` sides of ``N^{-1} P^H sigma_m^{-1} = B^{-1} P^H (K + sigma_m)^{-1}``.
 
-    Builds both sides of
-
-        (P^H Sm^{-1} P + B)^{-1} P^H Sm^{-1}
-            = B^{-1} P^H (P B^{-1} P^H + Sm)^{-1},
-
-    with ``B = A^H Sp^{-1} A``, densely, and returns
-    ``max|LHS - RHS| / max|RHS|``. This is the one place the Gram ``B`` and
-    the normal matrix ``N = B + P^H Sm^{-1} P`` are formed, so it accepts
-    only ``n <= IDENTITY_MAX_N``. ``B = C^H C`` is formed from the whitened
-    operator ``C = L^{-1} A``, ``Sp = L L^H`` (BLAS ``herk``), so it is
-    Hermitian by construction.
+    Column ``j`` of the left side is the ``u`` block of the joint ``solve``
+    against ``[0; e_j; 0]``; the right side is
+    ``A^{-1} sigma_p G^H (K + sigma_m)^{-1}`` from the reduced pass.
     """
-    if prob.state_dim > IDENTITY_MAX_N:
-        raise RejectedInputError(
-            f"identity check is a dense-regime verifier (n <= {IDENTITY_MAX_N})"
-        )
-    A = prob.A_builder(m).to_dense()
-    Pd = prob.P.to_dense().astype(complex)
-    B = zherk(1.0, prob.sigma_p.whiten(A), trans=2, lower=1)  # lower triangle only
-    B += B.conj().T  # the mirror image doubles the real diagonal, halved below
-    B.flat[:: len(B) + 1] *= 0.5
-    N = B + Pd.conj().T @ prob.sigma_m.solve(Pd)
-    N = 0.5 * (N + N.conj().T)
-    Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
-    lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
-    BinvPH = _spd_solve(B, Pd.conj().T, "Gram matrix")
-    K = Pd @ BinvPH
-    rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
-    return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    n, k = prob.state_dim, prob.data_dim
+    unit = np.zeros((2 * n + k, k), dtype=complex)
+    unit[n:n + k] = np.eye(k)
+    GH_weighted = GH @ _weight_solve(prob, K, np.eye(k, dtype=complex))
+    return solve(unit)[n + k:], A.solve(prob.sigma_p.apply(GH_weighted))
 
 
 def verify_equivalence(prob, m):
     """Compare the joint and reduced objectives at ``m``, with the split identities.
 
     One reduced pass (the kept one, at the same medium) and one augmented
-    solve at ``A(m)``. With ``v0 = G^H r_tilde`` from the reduced pass, the
+    LU at ``A(m)``. With ``v0 = G^H r_tilde`` from the reduced pass, the
     splits check ``u - u0 = -A^{-1} sigma_p v0``, ``P (u - u0) = -K r_tilde``
     and the multiplier ``sigma_p lam = sigma_p v0``, not ``A (u - u0)``, whose
-    cancellation ``A`` would multiply by ``||A|| ~ 4/h^2``.
+    cancellation ``A`` would multiply by ``||A|| ~ 4/h^2``. The same two
+    check the push-through identity behind the reduction entrywise (see
+    :func:`_identity_sides`), forming neither ``B = A^H sigma_p^{-1} A`` nor
+    ``N = B + P^H sigma_m^{-1} P``, so at any ``n``.
     """
     A, reduced, u0, GH, K = _reduced_at(prob, m)
-    lam, mu, u = _joint_solve(prob, A)
+    solve = _joint_factor(prob, A)
+    lam, mu, u = _joint_optimum(prob, solve)
     pj, pr = _joint_value(prob, lam, mu), reduced.value
     v = u - u0
     r_tilde = reduced.weighted_residual
     sp_v0 = prob.sigma_p.apply(GH @ r_tilde)
+    lhs, rhs = _identity_sides(prob, solve, A, GH, K)
     return EquivalenceReport(
         phi_joint=pj,
         phi_reduced=pr,
@@ -655,4 +654,5 @@ def verify_equivalence(prob, m):
         state_split_err=_rel_diff(v, -A.solve(sp_v0)),
         data_split_err=_rel_diff(prob.P.matvec(v), -(K @ r_tilde)),
         process_split_err=_rel_diff(prob.sigma_p.apply(lam), sp_v0),
+        identity_max_err=float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))),
     )

@@ -459,22 +459,6 @@ class CovarianceSpec:
         check_condition(self.cond, "covariance")
         return _potrs(self._factor, x)
 
-    def whiten(self, x):
-        """``L^{-1} x`` for the Cholesky factor of the weight, ``sigma = L L^H``.
-
-        So ``||whiten(x)||^2 = x^H sigma^{-1} x``, and for a matrix ``x`` the
-        product ``whiten(x)^H whiten(x)`` is ``x^H sigma^{-1} x``. A diagonal
-        weight divides by its square root; a dense one solves with its kept
-        factor (LAPACK ``trtrs``), gated at the 1e14 limit like :meth:`solve`.
-        """
-        x = self._check_dim(x)
-        if self.kind == self.DIAGONAL:
-            root = np.sqrt(self._diag)
-            return x / root if x.ndim == 1 else x / root[:, None]
-        check_condition(self.cond, "covariance")
-        y, _ = _lapack("trtrs", self._factor.dtype, x.dtype)(self._factor, x, lower=True)
-        return y
-
     def to_dense(self):
         return np.diag(self._diag) if self.kind == self.DIAGONAL else self._matrix
 

@@ -23,6 +23,13 @@ from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_
 REGIMES = ("conventional", "extended", "general")
 
 
+def _integer(value, what):
+    """``value`` as an int, where ``int()`` alone would run 20.5 as 20 and True as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise RejectedInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ToyConfig:
     """Experiment configuration; defaults use the three-offset reference geometry."""
@@ -45,13 +52,15 @@ class ToyConfig:
             object.__setattr__(self, name, float(getattr(self, name)))
         dists = tuple(float(r) for r in self.receiver_distances)
         object.__setattr__(self, "receiver_distances", dists)
-        c_min, c_max, n_points = (float(v) for v in self.scan)
+        c_min, c_max, n_points = self.scan
+        c_min, c_max = float(c_min), float(c_max)
+        n_points = _integer(n_points, "the point count of scan")
         numbers = (self.c_true, self.dt, self.f0, self.t0, self.sigma_m, self.sigma_p,
-                   self.floor, c_min, c_max, n_points, *dists)
+                   self.floor, c_min, c_max, *dists)
         if not np.all(np.isfinite(numbers)):
             raise RejectedInputError(f"config values must be finite, got {numbers}")
-        object.__setattr__(self, "nt", int(self.nt))
-        object.__setattr__(self, "scan", (c_min, c_max, int(n_points)))
+        object.__setattr__(self, "nt", _integer(self.nt, "nt"))
+        object.__setattr__(self, "scan", (c_min, c_max, n_points))
         if not self.c_true > 0:
             raise RejectedInputError("c_true must be positive")
         if any(r <= 0 for r in dists) or len(set(dists)) != len(dists):

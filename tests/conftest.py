@@ -2,19 +2,23 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg.blas import zherk
 
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
     HelmholtzModel1D,
+    Problem,
     RejectedInputError,
+    SamplingOperator,
     adjoint_F,
     forward_F,
     helmholtz_problem,
 )
 from xfwi import formulations
 from xfwi.cli import random_covariance
+from xfwi.linops import _spd_solve
 from xfwi.wavemodel import _check_velocity, _phase_factors, medium_values
 
 
@@ -52,8 +56,6 @@ def make_helmholtz_instance(
 
 def scaled_problem(prob, alpha):
     """Same instance with both covariances multiplied by alpha."""
-    from xfwi import Problem
-
     return Problem(
         A_builder=prob.A_builder,
         dA_contract=prob.dA_contract,
@@ -63,6 +65,29 @@ def scaled_problem(prob, alpha):
         sigma_m=CovarianceSpec.dense(alpha * prob.sigma_m.to_dense()),
         sigma_p=CovarianceSpec.dense(alpha * prob.sigma_p.to_dense()),
     )
+
+
+def complex_operator_problems(count=3, n=16, seed=99):
+    """Problems with random complex non-symmetric dense ``A`` and dense weights.
+
+    Returns ``(problem, medium)`` pairs: the general case of the push-through
+    identity that acceptance criterion 2 checks, three receivers, zero data.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+        prob = Problem(
+            A_builder=lambda m, M=M: DenseOperator(M),
+            dA_contract=lambda v, w: np.zeros(n),
+            P=SamplingOperator([1, 7, 13], n),
+            q=np.zeros(n),
+            d=np.zeros(3),
+            sigma_m=random_covariance("dense", 3, 1.0, rng),
+            sigma_p=random_covariance("dense", n, 1.0, rng),
+        )
+        cases.append((prob, np.ones(n)))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +126,52 @@ def dense_forward_matrix(c, acq):
         ker = np.fft.ifft(phases[i]).real
         F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
     return F
+
+
+def whiten(cov, x):
+    """``L^{-1} x`` for the Cholesky factor of a weight, ``cov = L L^H``.
+
+    So ``whiten(cov, x)^H whiten(cov, x) = x^H cov^{-1} x``. A diagonal
+    weight divides by its square root; a dense one solves with its kept
+    lower factor.
+    """
+    if cov.kind == cov.DIAGONAL:
+        return x / np.sqrt(cov._diag)[:, None]
+    return solve_triangular(cov._factor, x, lower=True)
+
+
+def dense_identity_sides(prob, m):
+    """Both sides of the push-through identity, with ``B`` and ``N`` formed densely.
+
+    Returns the ``n x n_rec`` arrays
+
+        LHS = (P^H Sm^{-1} P + B)^{-1} P^H Sm^{-1}
+        RHS = B^{-1} P^H (P B^{-1} P^H + Sm)^{-1},
+
+    with ``B = A^H Sp^{-1} A``: the oracle of
+    :func:`xfwi.formulations._identity_sides`, which forms neither ``B`` nor
+    ``N``. ``B = C^H C`` is formed from the whitened operator ``C = L^{-1} A``,
+    ``Sp = L L^H`` (BLAS ``herk``), so it is Hermitian by construction. Dense
+    in ``n``: for ``n <= 200``.
+    """
+    A = prob.A_builder(m).to_dense()
+    Pd = prob.P.to_dense().astype(complex)
+    B = zherk(1.0, whiten(prob.sigma_p, A), trans=2, lower=1)  # lower triangle only
+    B += B.conj().T  # the mirror image doubles the real diagonal, halved below
+    B.flat[:: len(B) + 1] *= 0.5
+    N = B + Pd.conj().T @ prob.sigma_m.solve(Pd)
+    N = 0.5 * (N + N.conj().T)
+    Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
+    lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
+    BinvPH = _spd_solve(B, Pd.conj().T, "Gram matrix")
+    K = Pd @ BinvPH
+    rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
+    return lhs, rhs
+
+
+def entrywise_err(x, ref):
+    """``max|x - ref| / max|ref|``, the identity's error measure."""
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
 def fd_gradient_per_medium(prob, m):

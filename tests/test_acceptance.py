@@ -19,7 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dA_dm, dense_forward_matrix, make_helmholtz_instance, propagator
+from conftest import (
+    complex_operator_problems,
+    dA_dm,
+    dense_forward_matrix,
+    make_helmholtz_instance,
+    propagator,
+)
 from xfwi import (
     CovarianceSpec,
     DenseOperator,
@@ -45,7 +51,6 @@ from xfwi import (
     phi_reduced,
     scan_objective,
     verify_equivalence,
-    verify_matrix_identity,
 )
 from xfwi.cli import (
     DEFAULT_CONFIG,
@@ -79,22 +84,10 @@ def test_criterion_1_equivalence():
 def test_criterion_2_matrix_identity():
     worst = 0.0
     for _, prob, m in make_equiv_instances(DEFAULT_CONFIG["equiv"], seed=42):
-        worst = max(worst, verify_matrix_identity(prob, m))
+        worst = max(worst, verify_equivalence(prob, m).identity_max_err)
     # complex non-symmetric operators exercise the general case
-    rng = np.random.default_rng(99)
-    n = 16
-    for _ in range(3):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
-        prob = Problem(
-            A_builder=lambda m, M=M: DenseOperator(M),
-            dA_contract=lambda v, w: np.zeros(n),
-            P=SamplingOperator([1, 7, 13], n),
-            q=np.zeros(n),
-            d=np.zeros(3),
-            sigma_m=random_covariance("dense", 3, 1.0, rng),
-            sigma_p=random_covariance("dense", n, 1.0, rng),
-        )
-        worst = max(worst, verify_matrix_identity(prob, np.ones(n)))
+    for prob, m in complex_operator_problems():
+        worst = max(worst, verify_equivalence(prob, m).identity_max_err)
     ok = worst <= 1e-9
     report(2, ok, f"worst entrywise rel err {worst:.3e}")
     assert worst <= 1e-9

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xfwi
 from conftest import fd_gradient_per_medium
 from xfwi.cli import DEFAULT_CONFIG, _toy_config, gradient_problem, main, write_csv
-from xfwi.formulations import IDENTITY_MAX_N, grad_phi
+from xfwi.formulations import grad_phi
 from xfwi.toy import estimate_extended_source
 
 SMALL_TOY = {
@@ -147,15 +152,63 @@ class TestConfigHandling:
         assert f"equiv.{key} must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_equiv_n_above_identity_limit(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"equiv": {"n": IDENTITY_MAX_N + 1, "instances": 1}})
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"equiv": {"n": 20.5}}, "equiv: n must be an integer, got 20.5"),
+            ({"equiv": {"n": True}}, "equiv: n must be an integer, got True"),
+            ({"equiv": {"instances": 1.5}}, "equiv: instances must be an integer, got 1.5"),
+            ({"equiv": {"instances": True}}, "equiv: instances must be an integer, got True"),
+            ({"equiv": {"receivers": [3.7, 9, 15]}},
+             "equiv: a receiver must be an integer, got 3.7"),
+            ({"equiv": {"receivers": [3, True, 15]}},
+             "equiv: a receiver must be an integer, got True"),
+            ({"grad": {"n": 20.5}}, "grad: n must be an integer, got 20.5"),
+            ({"grad": {"n": True}}, "grad: n must be an integer, got True"),
+            ({"toy": {"nt": 512.5}}, "toy: nt must be an integer, got 512.5"),
+            ({"toy": {"nt": True}}, "toy: nt must be an integer, got True"),
+            ({"toy": {"scan": [1.5, 2.5, 21.5]}},
+             "toy: the point count of scan must be an integer, got 21.5"),
+            ({"toy": {"scan": [1.5, 2.5, True]}},
+             "toy: the point count of scan must be an integer, got True"),
+        ],
+        ids=["equiv-n-fraction", "equiv-n-bool", "equiv-instances-fraction",
+             "equiv-instances-bool", "equiv-receivers-fraction", "equiv-receivers-bool",
+             "grad-n-fraction", "grad-n-bool", "toy-nt-fraction", "toy-nt-bool",
+             "toy-scan-points-fraction", "toy-scan-points-bool"],
+    )
+    def test_integer_value_is_not_truncated(self, tmp_path, capsys, payload, message):
+        # int() would run 20.5 as 20 and true as 1, while the manifest's
+        # digest records the value as written
+        cfg = write_config(tmp_path, payload)
         out = tmp_path / "o"
         assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 2
-        assert f"equiv.n must be at most {IDENTITY_MAX_N}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_equiv_n_at_identity_limit_runs(self, tmp_path):
-        cfg = write_config(tmp_path, {"equiv": {"n": IDENTITY_MAX_N, "instances": 1}})
+    def test_integral_float_is_an_integer(self, tmp_path):
+        payload = {"equiv": {"n": 20.0, "instances": 1.0, "receivers": [3.0, 9, 15]}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("n", [201, 20_000])
+    def test_equiv_n_above_200_runs_with_diagonal_kinds(self, tmp_path, n):
+        payload = {"equiv": {"n": n, "instances": 1, "sigma_m_kind": "diagonal",
+                             "sigma_p_kind": "diagonal"}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_dense_sigma_p_above_200_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"equiv": {"n": 201, "instances": 1}})
+        out = tmp_path / "o"
+        assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "equiv.sigma_p_kind 'dense'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_sigma_m_above_200_runs(self, tmp_path):
+        # sigma_m is n_rec x n_rec at any n
+        payload = {"equiv": {"n": 201, "instances": 1, "sigma_p_kind": "diagonal"}}
+        cfg = write_config(tmp_path, payload)
         assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
@@ -213,6 +266,23 @@ class TestEquivCheck:
         _, rows = read_csv(out / "equivalence.csv")
         assert float(rows[0][1]) <= 1e-18
         assert float(rows[0][2]) <= 1e-18
+
+    def test_csv_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the bench config: 6 dense-weight instances at n = 200, seed 42
+        cfg = write_config(tmp_path, {"equiv": {"n": 200, "instances": 6}})
+        src = str(Path(xfwi.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "xfwi.cli", "equiv-check", "--config", cfg,
+                 "--seed", "42", "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((out / "equivalence.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestGradCheck:

@@ -224,28 +224,6 @@ class TestCovarianceSpec:
         cov = CovarianceSpec.dense(np.diag([1.0, 1e-15]))
         with pytest.raises(IllConditionedError):
             weighted_norm_sq(cov, [1.0, 1.0])
-        with pytest.raises(IllConditionedError):
-            cov.whiten(np.ones(2))
-
-    @pytest.mark.parametrize("rhs", ["vector", "matrix"])
-    @pytest.mark.parametrize("kind", ["scaled", "diagonal", "dense"])
-    def test_whiten_squares_to_the_inverse_weight(self, kind, rhs):
-        # ||L^{-1} x||^2 = x^H sigma^{-1} x, and for a matrix X the Gram
-        # (L^{-1} X)^H (L^{-1} X) = X^H sigma^{-1} X
-        rng = np.random.default_rng(19)
-        dim = 8
-        cov = random_covariance(kind, dim, 1.3, rng)
-        shape = (dim,) if rhs == "vector" else (dim, 3)
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        y = cov.whiten(x)
-        assert y.shape == x.shape
-        if rhs == "vector":
-            expected = weighted_norm_sq(cov, x)
-            assert abs(np.vdot(y, y).real - expected) <= 1e-13 * expected
-        else:
-            expected = x.conj().T @ cov.solve(x)
-            gram = y.conj().T @ y
-            assert np.abs(gram - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dense_cond_is_the_cond_1_estimate(self, seed):
@@ -283,8 +261,6 @@ class TestCovarianceSpec:
         cov = CovarianceSpec.scaled_identity(1.0, 3)
         with pytest.raises(DimensionMismatchError):
             weighted_norm_sq(cov, [1.0, 2.0])
-        with pytest.raises(DimensionMismatchError):
-            cov.whiten(np.ones(2))
 
 
 def test_dense_operator_singular_solve_raises_without_warning():

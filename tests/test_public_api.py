@@ -32,7 +32,6 @@ PUBLIC_NAMES = {
     "sigma_of_m",
     "solve_state",
     "verify_equivalence",
-    "verify_matrix_identity",
     # linops
     "CovarianceSpec",
     "DenseOperator",

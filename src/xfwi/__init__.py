@@ -2,8 +2,9 @@
 
 The package implements the joint (state-and-medium) least-squares
 formulation of waveform inversion, its reduced form with the residual
-weighted by a medium-dependent covariance, numerical verifiers for their
-equivalence, and a small constant-velocity experiment pipeline with a CLI.
+weighted by a medium-dependent covariance, its gradient, a numerical
+verifier of their equivalence, and a small constant-velocity experiment
+pipeline with a CLI.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +16,6 @@ from .errors import (
     NotPositiveDefiniteError,
     RejectedInputError,
     SingularGeometryError,
-    UnsupportedGeometryError,
     XfwiError,
 )
 from .formulations import (
@@ -25,26 +25,11 @@ from .formulations import (
     fd_gradient,
     grad_phi,
     helmholtz_problem,
-    minimize_phi_contrast_source,
-    minimize_phi_extended_source,
-    phi_contrast_source,
-    phi_conventional,
-    phi_equation_error,
-    phi_extended_source,
     phi_joint,
     phi_reduced,
-    sigma_of_m,
-    solve_state,
     verify_equivalence,
 )
-from .linops import (
-    CovarianceSpec,
-    DenseOperator,
-    LinearOperator,
-    SamplingOperator,
-    dot_test,
-    weighted_norm_sq,
-)
+from .linops import CovarianceSpec, SamplingOperator
 from .toy import (
     ExtendedSourceResult,
     ScanResult,

@@ -22,10 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import XfwiError
 from .formulations import fd_gradient, grad_phi, helmholtz_problem, verify_equivalence
-from .linops import CovarianceSpec, SamplingOperator
+from .linops import CovarianceSpec, SamplingOperator, _integer
 from .toy import (
     ToyConfig,
-    _integer,
     acquisition,
     estimate_extended_source,
     half_max_basin_width,
@@ -125,7 +124,7 @@ def _check_equiv(sec):
         HelmholtzModel1D(
             n=n, h=float(sec["h"]), omega=float(sec["omega"]), boundary=sec["boundary"]
         )
-        SamplingOperator([_integer(i, "a receiver") for i in sec["receivers"]], n)
+        SamplingOperator(sec["receivers"], n)
         instances = _integer(sec["instances"], "instances")
         m_min, m_max = float(sec["m_min"]), float(sec["m_max"])
         positive = {key: float(sec[key]) for key in ("sigma_m", "sigma_p")}

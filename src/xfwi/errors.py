@@ -21,10 +21,6 @@ class DegenerateWeightsError(XfwiError, ValueError):
     """All weighting scales are zero; the objective is undefined."""
 
 
-class UnsupportedGeometryError(XfwiError, ValueError):
-    """The requested formulation needs a geometry this problem lacks."""
-
-
 class NotPositiveDefiniteError(XfwiError, ValueError):
     """A matrix required to be (semi)definite is not, beyond tolerance."""
 

@@ -13,9 +13,9 @@ formulation
 
 where ``K(m) = P A^{-1} sigma_p A^{-H} P^H`` plays the role of a
 medium-dependent residual covariance (correlations of receiver-side
-responses). Numerical verifiers for the equivalence and for the underlying
-matrix identity live here alongside the gradient and the related
-extended-source and contrast-source forms.
+responses). The reduced pass, its gradient and the joint (KKT) solve that
+verifies them live here; the joint formulation is that of van Leeuwen and
+Herrmann (GJI 2013).
 
 Sign convention: the residual is ``r = P A^{-1} q - d`` throughout; the
 opposite sign appears in some derivations and cancels in every quadratic
@@ -32,7 +32,6 @@ from .errors import (
     IllConditionedError,
     NotPositiveDefiniteError,
     RejectedInputError,
-    UnsupportedGeometryError,
 )
 from .linops import (
     CovarianceSpec,
@@ -40,7 +39,6 @@ from .linops import (
     TridiagonalOperator,
     _read_only,
     _spd_solve,
-    weighted_norm_sq,
 )
 from .wavemodel import medium_values
 
@@ -54,11 +52,16 @@ _FD_GROUP_ENTRIES = 12800
 class Problem:
     """One inversion instance: operator builder, geometry, data, weights.
 
-    ``A_builder(m)`` returns the square operator ``A(m)`` (a LinearOperator
-    with ``solve``) and must be a pure function of ``m``: the problem keeps
-    its last reduced pass, keyed on the medium, and reuses it for the same
-    medium (see :func:`_reduced_at`). Given a stack of ``b`` media, one per
-    row, it returns the block-diagonal operator of their ``b`` operators, of
+    ``A_builder(m)`` returns the square operator ``A(m)`` and must be a pure
+    function of ``m``. The operator has ``range_dim``, its order;
+    ``solve(b, adjoint=False)``, which solves with ``A`` (``A^H`` with
+    ``adjoint``) against one right-hand side or one per column; and either
+    the three diagonals of a :class:`~xfwi.linops.TridiagonalOperator` or
+    ``to_dense()``, from which the joint system is assembled (see
+    :func:`_operator_slots`). The problem keeps its last reduced pass, keyed
+    on the medium, and reuses it for the same medium (see
+    :func:`_reduced_at`). Given a stack of ``b`` media, one per row, the
+    builder returns the block-diagonal operator of their ``b`` operators, of
     order ``b * state_dim``; :func:`fd_gradient` evaluates its media so, and
     rejects an operator of any other order. ``dA_contract(v, w)`` returns
     the real vector ``(Re <v, (dA/dm_k) w>)_k`` over all medium parameters
@@ -311,18 +314,7 @@ def _rel_diff(x, y):
 
 
 # ---------------------------------------------------------------------------
-# state solve and objectives
-
-
-def solve_state(prob, m):
-    """State estimate: the minimizer over ``u`` of the joint objective.
-
-    ``u(m)`` solves the normal equations
-    ``(A^H sigma_p^{-1} A + P^H sigma_m^{-1} P) u = A^H sigma_p^{-1} q + P^H sigma_m^{-1} d``;
-    it is read off the ``u`` block of the augmented system (see
-    :func:`_joint_factor`), which never forms that normal matrix.
-    """
-    return _joint_optimum(prob, _joint_factor(prob, prob.A_builder(m)))[2]
+# objectives
 
 
 def _joint_value(prob, lam, mu):
@@ -335,24 +327,16 @@ def phi_joint(prob, m):
     """Joint objective at its optimal state.
 
     ``||P u(m) - d||^2_sigma_m + ||A(m) u(m) - q||^2_sigma_p`` with ``u(m)``
-    from :func:`solve_state`, evaluated as ``lam^H sigma_p lam + mu^H sigma_m mu``
-    from the same solve of the augmented system, so no covariance is
-    inverted. The report holds ``residual = P u - d`` and
+    the minimizer over ``u``, the ``u`` block of the augmented system's
+    solution (see :func:`_joint_factor`), evaluated as
+    ``lam^H sigma_p lam + mu^H sigma_m mu`` from the same solve, so no
+    covariance is inverted and the normal matrix is never formed. The
+    report holds ``residual = P u - d`` and
     ``weighted_residual = sigma_m^{-1} (P u - d) = -mu``. This is the
     oracle the reduced objective is checked against.
     """
     lam, mu, u = _joint_optimum(prob, _joint_factor(prob, prob.A_builder(m)))
     return ObjectiveReport(_joint_value(prob, lam, mu), prob.P.matvec(u) - prob.d, -mu)
-
-
-def sigma_of_m(prob, m):
-    """Medium-dependent residual covariance ``K = P A^{-1} sigma_p A^{-H} P^H``.
-
-    ``A`` is factored once and solved adjointly against one basis vector
-    per receiver, so the cost is one adjoint simulation per receiver.
-    Returns a dense Hermitian ``data_dim x data_dim`` array.
-    """
-    return _sensitivity(prob, prob.A_builder(m))[1][0]
 
 
 def _reduced(prob, A, b=1):
@@ -439,109 +423,6 @@ def phi_reduced(prob, m):
     """
     rep = _reduced_at(prob, m)[1]
     return ObjectiveReport(rep.value, rep.residual, rep.weighted_residual)
-
-
-def phi_conventional(prob, m):
-    """Data misfit with the state eliminated exactly: ``||r||^2_sigma_m``.
-
-    This is the vanishing-process-uncertainty limit of the reduced
-    objective, implemented analytically (no floor).
-    """
-    r = prob.P.matvec(prob.A_builder(m).solve(prob.q)) - prob.d
-    return ObjectiveReport(
-        value=weighted_norm_sq(prob.sigma_m, r),
-        residual=r,
-        weighted_residual=prob.sigma_m.solve(r),
-    )
-
-
-def phi_equation_error(prob, m):
-    """Process misfit with the state read off the data: ``||A P^{-1} d - q||^2_sigma_p``.
-
-    Requires a square, invertible sampling operator (full-state
-    measurement); the selection structure makes P a permutation, so
-    ``P^{-1} = P^T``.
-    """
-    if prob.P.n_receivers != prob.state_dim:
-        raise UnsupportedGeometryError(
-            "equation-error form needs a square, invertible sampling operator"
-        )
-    r = prob.A_builder(m).matvec(prob.P.rmatvec(prob.d)) - prob.q
-    return ObjectiveReport(
-        value=weighted_norm_sq(prob.sigma_p, r),
-        residual=r,
-        weighted_residual=prob.sigma_p.solve(r),
-    )
-
-
-def phi_extended_source(prob, m, f):
-    """Joint objective re-parameterized by the source extension ``f = A u - q``.
-
-    ``||P A^{-1} (q + f) - d||^2_sigma_m + ||f||^2_sigma_p``.
-    """
-    f = np.asarray(f)
-    if len(f) != prob.state_dim:
-        raise DimensionMismatchError(f"extension must have length {prob.state_dim}")
-    r = prob.P.matvec(prob.A_builder(m).solve(prob.q + f)) - prob.d
-    return weighted_norm_sq(prob.sigma_m, r) + weighted_norm_sq(prob.sigma_p, f)
-
-
-def minimize_phi_extended_source(prob, m):
-    """Dense normal-equation minimizer of the extended-source objective.
-
-    Returns ``(f_opt, value)``; the minimum value equals the joint
-    objective, which is the change-of-variables identity the tests verify.
-    """
-    A = prob.A_builder(m).to_dense()
-    Pd = prob.P.to_dense()
-    G = np.linalg.solve(A.T, Pd.T.astype(complex)).T  # G = P A^{-1}
-    r = G @ prob.q - prob.d
-    N = G.conj().T @ prob.sigma_m.solve(G) + prob.sigma_p.solve(
-        np.eye(prob.state_dim, dtype=complex)
-    )
-    N = 0.5 * (N + N.conj().T)
-    f = _spd_solve(N, -(G.conj().T @ prob.sigma_m.solve(r)), "normal matrix")
-    return f, phi_extended_source(prob, m, f)
-
-
-def phi_contrast_source(prob, m, w, m0):
-    """Joint objective re-parameterized by a contrast source ``w``.
-
-    With background ``A0 = A(m0)`` and contrast ``dA = A0 - A(m)``:
-    ``||P A0^{-1} (w + q) - d||^2_sigma_m
-      + ||dA A0^{-1} (w + q) - w||^2_sigma_p``.
-    The substitution ``u = A0^{-1} (w + q)`` maps this bijectively onto the
-    joint objective, so minimizing over ``w`` recovers it exactly. (With
-    the contrast oriented model-minus-background the same expression would
-    instead target the medium reflected about the background.)
-    """
-    w = np.asarray(w)
-    if len(w) != prob.state_dim:
-        raise DimensionMismatchError(f"contrast source must have length {prob.state_dim}")
-    A0 = prob.A_builder(m0)
-    u = A0.solve(w + prob.q)
-    r_data = prob.P.matvec(u) - prob.d
-    r_proc = A0.matvec(u) - prob.A_builder(m).matvec(u) - w
-    return weighted_norm_sq(prob.sigma_m, r_data) + weighted_norm_sq(
-        prob.sigma_p, r_proc
-    )
-
-
-def minimize_phi_contrast_source(prob, m, m0):
-    """Dense normal-equation minimizer over the contrast source."""
-    A = prob.A_builder(m).to_dense()
-    A0 = prob.A_builder(m0).to_dense()
-    dA = A0 - A
-    A0_inv = np.linalg.inv(A0)
-    H = prob.P.to_dense() @ A0_inv
-    C = dA @ A0_inv - np.eye(prob.state_dim)
-    r0 = H @ prob.q - prob.d
-    c0 = dA @ (A0_inv @ prob.q)
-    N = H.conj().T @ prob.sigma_m.solve(H) + C.conj().T @ prob.sigma_p.solve(C)
-    N = 0.5 * (N + N.conj().T)
-    rhs = -(H.conj().T @ prob.sigma_m.solve(r0) + C.conj().T @ prob.sigma_p.solve(c0))
-    w = _spd_solve(N, rhs, "normal matrix")
-    return w, phi_contrast_source(prob, m, w, m0)
 
 
 # ---------------------------------------------------------------------------

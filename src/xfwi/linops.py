@@ -9,7 +9,6 @@ with zero imaginary parts. All adjoints follow the inner product
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import lu_solve
 from scipy.linalg.lapack import get_lapack_funcs, zgtcon, zgttrf, zgttrs
 
 from .errors import (
@@ -34,6 +33,19 @@ def _lapack(name, *dtypes):
     return get_lapack_funcs((name,), [np.empty(0, dt) for dt in dtypes])[0]
 
 
+def _integer(value, what):
+    """``value`` as an int, where ``int()`` alone would run 20.5 as 20 and True as 1.
+
+    A boolean (numpy's too) or a float with a fractional part (NaN and
+    infinities included) raises :class:`RejectedInputError`; 20.0 is 20.
+    """
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise RejectedInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _read_only(a):
     """``a``, marked read-only so numpy refuses writes to it; returns ``a``.
 
@@ -44,63 +56,7 @@ def _read_only(a):
     return a
 
 
-class LinearOperator:
-    """Base class of the operators: ``shape`` is ``(range_dim, domain_dim)``.
-
-    Subclasses implement ``matvec`` (forward), ``rmatvec`` (adjoint) and
-    ``to_dense``.
-    """
-
-    def __init__(self, range_dim, domain_dim):
-        self.range_dim = int(range_dim)
-        self.domain_dim = int(domain_dim)
-
-    @property
-    def shape(self):
-        return (self.range_dim, self.domain_dim)
-
-
-class DenseOperator(LinearOperator):
-    """Operator backed by an explicit 2-D array."""
-
-    def __init__(self, matrix):
-        matrix = np.atleast_2d(np.asarray(matrix))
-        if matrix.ndim != 2:
-            raise RejectedInputError("dense operator needs a 2-D array")
-        super().__init__(matrix.shape[0], matrix.shape[1])
-        self.matrix = matrix
-        self._adjoint = None
-        self._factor = None
-
-    def matvec(self, x):
-        return self.matrix @ x
-
-    def rmatvec(self, y):
-        if self._adjoint is None:
-            self._adjoint = self.matrix.conj().T
-        return self._adjoint @ y
-
-    def to_dense(self):
-        return self.matrix
-
-    def solve(self, b, adjoint=False):
-        """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
-
-        The LU of the matrix (LAPACK ``getrf``) is computed on the first call
-        and cached; an exactly zero pivot raises :class:`IllConditionedError`.
-        ``b`` may hold one right-hand side per column.
-        """
-        if self._factor is None:
-            lu, piv, info = _lapack("getrf", self.matrix.dtype)(self.matrix)
-            if info > 0:
-                raise IllConditionedError(
-                    f"operator is singular: zero pivot at row {info} of its LU"
-                )
-            self._factor = (lu, piv)
-        return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
-
-
-class TridiagonalOperator(LinearOperator):
+class TridiagonalOperator:
     """Square operator stored by its three diagonals.
 
     ``lower[k] = A[k + 1, k]``, ``diag[k] = A[k, k]`` and
@@ -130,7 +86,7 @@ class TridiagonalOperator(LinearOperator):
         nb = n // blocks
         if blocks > 1 and (lower[nb - 1::nb].any() or upper[nb - 1::nb].any()):
             raise RejectedInputError("couplings between blocks must be exact zeros")
-        super().__init__(n, n)
+        self.range_dim = self.domain_dim = n
         self.lower = lower
         self.diag = diag
         self.upper = upper
@@ -201,17 +157,23 @@ class TridiagonalOperator(LinearOperator):
         return np.inf if rcond == 0 else 1.0 / rcond
 
 
-class SamplingOperator(LinearOperator):
+class SamplingOperator:
     """Selection of state entries, one unit entry per row.
 
     Rows pick pairwise-distinct state indices, so ``P P^T = I`` on the
-    receiver space and the adjoint is a scatter. The indices are kept as a
-    read-only copy, so the caller's array may change without changing ``P``.
+    receiver space and the adjoint is a scatter. Each index is taken by
+    :func:`_integer`, so 3.7 or True is rejected rather than read as row 3
+    or 1. The indices are kept as a read-only copy, so the caller's array may
+    change without changing ``P``.
     """
 
     def __init__(self, receiver_indices, state_dim):
-        idx = _read_only(np.array(receiver_indices, dtype=int).ravel())
-        state_dim = int(state_dim)
+        # object dtype keeps each entry as given: [True, 5] stays a bool and an int
+        entries = np.array(receiver_indices, dtype=object)
+        if entries.ndim != 1:
+            raise RejectedInputError(f"receiver indices must be one sequence, got {entries.shape}")
+        idx = _read_only(np.array([_integer(i, "a receiver") for i in entries], dtype=int))
+        state_dim = _integer(state_dim, "the state dimension")
         if idx.size == 0:
             raise RejectedInputError("sampling operator needs at least one index")
         if idx.min() < 0 or idx.max() >= state_dim:
@@ -220,7 +182,7 @@ class SamplingOperator(LinearOperator):
             )
         if len(np.unique(idx)) != len(idx):
             raise RejectedInputError("receiver indices must be distinct")
-        super().__init__(len(idx), state_dim)
+        self.range_dim, self.domain_dim = len(idx), state_dim
         self.receiver_indices = idx
         self.state_dim = state_dim
 
@@ -347,9 +309,10 @@ def spd_condition(factor, norm_1):
 def _spd_solve(M, b, what):
     """Solve ``M x = b`` for a Hermitian ``M`` that the caller owns and drops.
 
-    The internal callers build ``M`` Hermitian bit for bit and so skip
-    :func:`_check_hermitian`. The 1-norm (largest column sum) is taken
-    before :func:`_spd_factor` factors ``M``, in place when it can; a
+    The package's one dense Hermitian positive definite solve, of
+    ``K + sigma_m``. The internal callers build ``M`` Hermitian bit for bit
+    and so skip :func:`_check_hermitian`. The 1-norm (largest column sum) is
+    taken before :func:`_spd_factor` factors ``M``, in place when it can; a
     ``pocon`` estimate of ``cond_1`` of 1e14 or more raises
     :class:`IllConditionedError`; :func:`_potrs` then solves.
     """
@@ -365,57 +328,27 @@ def _spd_solve(M, b, what):
     return _potrs(factor, b)
 
 
-def dot_test(op, trials=10, seed=0):
-    """Maximum relative adjoint mismatch over random complex probes.
-
-    For each trial draws x, y and evaluates
-    ``|<Ax, y> - <x, A^H y>| / (||Ax|| ||y|| + ||x|| ||A^H y||)``.
-    Deterministic for a given seed.
-    """
-    if trials < 1:
-        raise RejectedInputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(op.domain_dim) + 1j * rng.standard_normal(op.domain_dim)
-        y = rng.standard_normal(op.range_dim) + 1j * rng.standard_normal(op.range_dim)
-        ax = np.asarray(op.matvec(x)).ravel()
-        aty = np.asarray(op.rmatvec(y)).ravel()
-        lhs = np.vdot(ax, y.ravel())
-        rhs = np.vdot(x, aty)
-        scale = (
-            np.linalg.norm(ax) * np.linalg.norm(y)
-            + np.linalg.norm(x) * np.linalg.norm(aty)
-            + 1e-300
-        )
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
-
-
 class CovarianceSpec:
-    """Symmetric positive definite weight with apply and solve.
+    """Symmetric positive definite weight, applied to vectors and stacks.
 
     Two kinds: diagonal (a scaled identity ``sigma2 * I`` is the diagonal of
     equal entries) and dense Hermitian positive definite. A dense matrix is
-    checked finite and Hermitian, symmetrised, and Cholesky-factored once on
-    construction; a failed factorization rejects it as not positive
-    definite. ``cond`` is the ``pocon`` estimate of ``cond_1`` from that
-    factor (``cond_1`` is at least ``cond_2`` for a Hermitian matrix),
-    checked against the 1e14 limit on every solve; the factor is cached for
-    the repeated solves of objective scans. The diagonal, the matrix and its
-    factor are read-only arrays the weight owns, never the caller's.
+    checked finite and Hermitian and symmetrised, and a Cholesky
+    factorization of a copy (:func:`_spd_factor`) rejects it as not positive
+    definite when it fails; the factor is not kept, since the weight is only
+    applied or added to a matrix that :func:`_spd_solve` factors. The
+    diagonal and the matrix are read-only arrays the weight owns, never the
+    caller's.
     """
 
     DIAGONAL = "diagonal"
     DENSE = "dense-spd"
 
-    def __init__(self, kind, dim, diag=None, matrix=None, factor=None, cond=None):
+    def __init__(self, kind, dim, diag=None, matrix=None):
         self.kind = kind
         self.dim = int(dim)
         self._diag = diag
         self._matrix = matrix
-        self._factor = factor
-        self.cond = cond
 
     @classmethod
     def scaled_identity(cls, sigma2, dim):
@@ -432,9 +365,8 @@ class CovarianceSpec:
     def dense(cls, matrix):
         M = _check_hermitian(matrix, "dense covariance")
         M = _read_only(0.5 * (M + M.conj().T))
-        factor = _read_only(_spd_factor(np.array(M, order="F"), "dense covariance"))
-        return cls(cls.DENSE, M.shape[0], matrix=M, factor=factor,
-                   cond=float(spd_condition(factor, np.linalg.norm(M, 1))))
+        _spd_factor(np.array(M, order="F"), "dense covariance")  # the positivity test
+        return cls(cls.DENSE, M.shape[0], matrix=M)
 
     def _check_dim(self, x):
         # a vector, or a matrix of columns (or a stack of them: leading axes)
@@ -452,41 +384,5 @@ class CovarianceSpec:
             return self._diag * x if x.ndim == 1 else self._diag[:, None] * x
         return self._matrix @ x
 
-    def solve(self, x):
-        x = self._check_dim(x)
-        if self.kind == self.DIAGONAL:
-            return x / self._diag if x.ndim == 1 else x / self._diag[:, None]
-        check_condition(self.cond, "covariance")
-        return _potrs(self._factor, x)
-
     def to_dense(self):
         return np.diag(self._diag) if self.kind == self.DIAGONAL else self._matrix
-
-
-def weighted_norm_sq(cov, r):
-    """Quadratic form ``r^H cov^{-1} r`` as a nonnegative real scalar.
-
-    The imaginary part of the form is discarded after asserting it is
-    negligible relative to the real part.
-    """
-    r = np.asarray(r)
-    if r.ndim != 1 or len(r) != cov.dim:
-        raise DimensionMismatchError(
-            f"covariance dim is {cov.dim}, got vector of shape {r.shape}"
-        )
-    w = cov.solve(r)
-    z = np.vdot(r, w)
-    if abs(z.imag) > 1e-10 * abs(z.real) + 1e-300:
-        raise IllConditionedError(
-            f"weighted norm has non-negligible imaginary part {z.imag:.3e} "
-            f"(real part {z.real:.3e})"
-        )
-    val = float(z.real)
-    if val < 0.0:
-        floor = 1e-12 * float(np.linalg.norm(r) * np.linalg.norm(w)) + 1e-300
-        if -val > floor:
-            raise NotPositiveDefiniteError(
-                f"quadratic form is negative ({val:.3e}); weight is not SPD"
-            )
-        val = 0.0
-    return val

@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
-from .linops import _COND_LIMIT, _potrs, _spd_factor, check_condition, spd_condition
+from .linops import _COND_LIMIT, _integer, _potrs, _spd_factor, check_condition, spd_condition
 from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
 
 REGIMES = ("conventional", "extended", "general")
-
-
-def _integer(value, what):
-    """``value`` as an int, where ``int()`` alone would run 20.5 as 20 and True as 1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise RejectedInputError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

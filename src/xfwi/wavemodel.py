@@ -26,6 +26,7 @@ from .errors import (
 from .linops import (
     TridiagonalOperator,
     _COND_LIMIT,
+    _integer,
     _read_only,
     check_condition,
 )
@@ -52,7 +53,8 @@ class HelmholtzModel1D:
     Parameters
     ----------
     n : int
-        Grid-point count, at least 3.
+        Grid-point count, at least 3; an integral float such as 20.0 is
+        stored as the int.
     h : float
         Grid spacing in km.
     omega : float
@@ -70,6 +72,7 @@ class HelmholtzModel1D:
     boundary_m0: float = 0.25
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 3:
             raise RejectedInputError(f"need n >= 3 grid points, got {self.n}")
         if not (self.h > 0 and np.isfinite(self.h)):
@@ -102,7 +105,8 @@ class Acquisition:
 
     Positions are in km; the analytic propagator only uses the Euclidean
     source-receiver distances. They are kept as read-only copies, so the
-    geometry checks made on construction hold for the object's lifetime.
+    geometry checks made on construction hold for the object's lifetime;
+    ``nt`` is stored as an int (see :func:`~xfwi.linops._integer`).
     """
 
     source_position: np.ndarray
@@ -115,6 +119,7 @@ class Acquisition:
         rec = _read_only(np.atleast_2d(np.array(self.receiver_positions, dtype=float)))
         object.__setattr__(self, "source_position", src)
         object.__setattr__(self, "receiver_positions", rec)
+        object.__setattr__(self, "nt", _integer(self.nt, "nt"))
         if self.nt < 2:
             raise RejectedInputError(f"need nt >= 2 samples, got {self.nt}")
         if not (self.dt > 0 and np.isfinite(self.dt)):

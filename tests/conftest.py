@@ -2,13 +2,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import lu_solve, solve_triangular, toeplitz
 from scipy.linalg.blas import zherk
 
 from xfwi import (
     CovarianceSpec,
-    DenseOperator,
+    DimensionMismatchError,
     HelmholtzModel1D,
+    IllConditionedError,
+    ObjectiveReport,
     Problem,
     RejectedInputError,
     SamplingOperator,
@@ -16,7 +18,7 @@ from xfwi import (
     forward_F,
     helmholtz_problem,
 )
-from xfwi import formulations
+from xfwi import formulations, linops
 from xfwi.cli import random_covariance
 from xfwi.linops import _spd_solve
 from xfwi.wavemodel import _check_velocity, _phase_factors, medium_values
@@ -91,6 +93,202 @@ def complex_operator_problems(count=3, n=16, seed=99):
 
 
 # ---------------------------------------------------------------------------
+# test-side operators, solves and the adjoint check
+
+
+class DenseOperator:
+    """Operator backed by an explicit 2-D array; meets ``Problem``'s contract by ``to_dense()``."""
+
+    def __init__(self, matrix):
+        matrix = np.atleast_2d(np.asarray(matrix))
+        if matrix.ndim != 2:
+            raise RejectedInputError("dense operator needs a 2-D array")
+        self.range_dim, self.domain_dim = matrix.shape
+        self.matrix = matrix
+        self._adjoint = None
+        self._factor = None
+
+    def matvec(self, x):
+        return self.matrix @ x
+
+    def rmatvec(self, y):
+        if self._adjoint is None:
+            self._adjoint = self.matrix.conj().T
+        return self._adjoint @ y
+
+    def to_dense(self):
+        return self.matrix
+
+    def solve(self, b, adjoint=False):
+        """Solve ``A x = b`` (``A^H x = b`` with ``adjoint``) for square ``A``.
+
+        The LU of the matrix (LAPACK ``getrf``) is computed on the first call
+        and cached; an exactly zero pivot raises :class:`IllConditionedError`.
+        ``b`` may hold one right-hand side per column.
+        """
+        if self._factor is None:
+            lu, piv, info = linops._lapack("getrf", self.matrix.dtype)(self.matrix)
+            if info > 0:
+                raise IllConditionedError(
+                    f"operator is singular: zero pivot at row {info} of its LU"
+                )
+            self._factor = (lu, piv)
+        return lu_solve(self._factor, b, trans=2 if adjoint else 0, check_finite=False)
+
+
+def dot_test(op, trials=10, seed=0):
+    """Maximum relative adjoint mismatch over random complex probes.
+
+    For each trial draws x, y and evaluates
+    ``|<Ax, y> - <x, A^H y>| / (||Ax|| ||y|| + ||x|| ||A^H y||)``.
+    Deterministic for a given seed.
+    """
+    if trials < 1:
+        raise RejectedInputError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(op.domain_dim) + 1j * rng.standard_normal(op.domain_dim)
+        y = rng.standard_normal(op.range_dim) + 1j * rng.standard_normal(op.range_dim)
+        ax = np.asarray(op.matvec(x)).ravel()
+        aty = np.asarray(op.rmatvec(y)).ravel()
+        lhs = np.vdot(ax, y.ravel())
+        rhs = np.vdot(x, aty)
+        scale = (
+            np.linalg.norm(ax) * np.linalg.norm(y)
+            + np.linalg.norm(x) * np.linalg.norm(aty)
+            + 1e-300
+        )
+        worst = max(worst, abs(lhs - rhs) / scale)
+    return worst
+
+
+def cov_solve(cov, x):
+    """``cov^{-1} x`` for a vector or a matrix of columns.
+
+    A diagonal weight divides by its diagonal; a dense one is Cholesky
+    factored (``potrf``, on a Fortran copy) and solved (``potrs``), the
+    routines the package's dense solve uses.
+    """
+    x = np.asarray(x)
+    if cov.kind == cov.DIAGONAL:
+        return x / cov._diag if x.ndim == 1 else x / cov._diag[:, None]
+    factor = linops._spd_factor(np.array(cov.to_dense(), order="F"), "covariance")
+    return linops._potrs(factor, x)
+
+
+def joint_state(prob, m):
+    """The joint optimum ``(lam, mu, u)`` at ``m``, from one LU of the augmented system."""
+    A = prob.A_builder(m)
+    return formulations._joint_optimum(prob, formulations._joint_factor(prob, A))
+
+
+# ---------------------------------------------------------------------------
+# the limits and the appendix forms, checked against the reduced and joint
+# objectives
+
+
+def phi_conventional(prob, m):
+    """Data misfit with the state eliminated exactly: ``||r||^2_sigma_m``.
+
+    This is the vanishing-process-uncertainty limit of the reduced
+    objective, implemented analytically (no floor).
+    """
+    r = prob.P.matvec(prob.A_builder(m).solve(prob.q)) - prob.d
+    w = cov_solve(prob.sigma_m, r)
+    return ObjectiveReport(value=np.vdot(r, w).real, residual=r, weighted_residual=w)
+
+
+def phi_equation_error(prob, m):
+    """Process misfit with the state read off the data: ``||A P^{-1} d - q||^2_sigma_p``.
+
+    Requires a square, invertible sampling operator (full-state
+    measurement); the selection structure makes P a permutation, so
+    ``P^{-1} = P^T``.
+    """
+    if prob.P.n_receivers != prob.state_dim:
+        raise DimensionMismatchError(
+            "equation-error form needs a square, invertible sampling operator"
+        )
+    r = prob.A_builder(m).matvec(prob.P.rmatvec(prob.d)) - prob.q
+    w = cov_solve(prob.sigma_p, r)
+    return ObjectiveReport(value=np.vdot(r, w).real, residual=r, weighted_residual=w)
+
+
+def phi_extended_source(prob, m, f):
+    """Joint objective re-parameterized by the source extension ``f = A u - q``.
+
+    ``||P A^{-1} (q + f) - d||^2_sigma_m + ||f||^2_sigma_p``.
+    """
+    f = np.asarray(f)
+    if len(f) != prob.state_dim:
+        raise DimensionMismatchError(f"extension must have length {prob.state_dim}")
+    r = prob.P.matvec(prob.A_builder(m).solve(prob.q + f)) - prob.d
+    return (np.vdot(r, cov_solve(prob.sigma_m, r)) + np.vdot(f, cov_solve(prob.sigma_p, f))).real
+
+
+def minimize_phi_extended_source(prob, m):
+    """Dense normal-equation minimizer of the extended-source objective.
+
+    Returns ``(f_opt, value)``; the minimum value equals the joint
+    objective, which is the change-of-variables identity the tests verify.
+    """
+    A = prob.A_builder(m).to_dense()
+    Pd = prob.P.to_dense()
+    G = np.linalg.solve(A.T, Pd.T.astype(complex)).T  # G = P A^{-1}
+    r = G @ prob.q - prob.d
+    N = G.conj().T @ cov_solve(prob.sigma_m, G) + cov_solve(
+        prob.sigma_p, np.eye(prob.state_dim, dtype=complex)
+    )
+    N = 0.5 * (N + N.conj().T)
+    f = _spd_solve(N, -(G.conj().T @ cov_solve(prob.sigma_m, r)), "normal matrix")
+    return f, phi_extended_source(prob, m, f)
+
+
+def phi_contrast_source(prob, m, w, m0):
+    """Joint objective re-parameterized by a contrast source ``w``.
+
+    With background ``A0 = A(m0)`` and contrast ``dA = A0 - A(m)``:
+    ``||P A0^{-1} (w + q) - d||^2_sigma_m
+      + ||dA A0^{-1} (w + q) - w||^2_sigma_p``.
+    The substitution ``u = A0^{-1} (w + q)`` maps this bijectively onto the
+    joint objective, so minimizing over ``w`` recovers it exactly. (With
+    the contrast oriented model-minus-background the same expression would
+    instead target the medium reflected about the background.)
+    """
+    w = np.asarray(w)
+    if len(w) != prob.state_dim:
+        raise DimensionMismatchError(f"contrast source must have length {prob.state_dim}")
+    A0 = prob.A_builder(m0)
+    u = A0.solve(w + prob.q)
+    r_data = prob.P.matvec(u) - prob.d
+    r_proc = A0.matvec(u) - prob.A_builder(m).matvec(u) - w
+    return (
+        np.vdot(r_data, cov_solve(prob.sigma_m, r_data))
+        + np.vdot(r_proc, cov_solve(prob.sigma_p, r_proc))
+    ).real
+
+
+def minimize_phi_contrast_source(prob, m, m0):
+    """Dense normal-equation minimizer over the contrast source."""
+    A = prob.A_builder(m).to_dense()
+    A0 = prob.A_builder(m0).to_dense()
+    dA = A0 - A
+    A0_inv = np.linalg.inv(A0)
+    H = prob.P.to_dense() @ A0_inv
+    C = dA @ A0_inv - np.eye(prob.state_dim)
+    r0 = H @ prob.q - prob.d
+    c0 = dA @ (A0_inv @ prob.q)
+    N = H.conj().T @ cov_solve(prob.sigma_m, H) + C.conj().T @ cov_solve(prob.sigma_p, C)
+    N = 0.5 * (N + N.conj().T)
+    rhs = -(
+        H.conj().T @ cov_solve(prob.sigma_m, r0) + C.conj().T @ cov_solve(prob.sigma_p, c0)
+    )
+    w = _spd_solve(N, rhs, "normal matrix")
+    return w, phi_contrast_source(prob, m, w, m0)
+
+
+# ---------------------------------------------------------------------------
 # dense oracles of the operators the package only applies
 
 
@@ -132,12 +330,13 @@ def whiten(cov, x):
     """``L^{-1} x`` for the Cholesky factor of a weight, ``cov = L L^H``.
 
     So ``whiten(cov, x)^H whiten(cov, x) = x^H cov^{-1} x``. A diagonal
-    weight divides by its square root; a dense one solves with its kept
-    lower factor.
+    weight divides by its square root; a dense one solves with its lower
+    Cholesky factor.
     """
     if cov.kind == cov.DIAGONAL:
         return x / np.sqrt(cov._diag)[:, None]
-    return solve_triangular(cov._factor, x, lower=True)
+    factor = linops._spd_factor(np.array(cov.to_dense(), order="F"), "covariance")
+    return solve_triangular(factor, x, lower=True)
 
 
 def dense_identity_sides(prob, m):
@@ -159,9 +358,9 @@ def dense_identity_sides(prob, m):
     B = zherk(1.0, whiten(prob.sigma_p, A), trans=2, lower=1)  # lower triangle only
     B += B.conj().T  # the mirror image doubles the real diagonal, halved below
     B.flat[:: len(B) + 1] *= 0.5
-    N = B + Pd.conj().T @ prob.sigma_m.solve(Pd)
+    N = B + Pd.conj().T @ cov_solve(prob.sigma_m, Pd)
     N = 0.5 * (N + N.conj().T)
-    Sm_inv = prob.sigma_m.solve(np.eye(prob.data_dim, dtype=complex))
+    Sm_inv = cov_solve(prob.sigma_m, np.eye(prob.data_dim, dtype=complex))
     lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
     BinvPH = _spd_solve(B, Pd.conj().T, "Gram matrix")
     K = Pd @ BinvPH
@@ -202,7 +401,7 @@ def fd_gradient_per_medium(prob, m):
 
 
 def operator_pair(range_dim, domain_dim, matvec, rmatvec):
-    """A map and its claimed adjoint, as :func:`xfwi.dot_test` reads them."""
+    """A map and its claimed adjoint, as :func:`dot_test` reads them."""
     return SimpleNamespace(
         range_dim=range_dim, domain_dim=domain_dim, matvec=matvec, rmatvec=rmatvec
     )

@@ -20,22 +20,26 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DenseOperator,
     complex_operator_problems,
     dA_dm,
     dense_forward_matrix,
+    dot_test,
     make_helmholtz_instance,
+    minimize_phi_contrast_source,
+    minimize_phi_extended_source,
+    phi_conventional,
+    phi_equation_error,
     propagator,
 )
 from xfwi import (
     CovarianceSpec,
-    DenseOperator,
     HelmholtzModel1D,
     Problem,
     SamplingOperator,
     ToyConfig,
     acquisition,
     assemble_A,
-    dot_test,
     estimate_extended_source,
     fd_gradient,
     grad_phi,
@@ -43,10 +47,6 @@ from xfwi import (
     helmholtz_problem,
     kernel_k,
     make_wavelet,
-    minimize_phi_contrast_source,
-    minimize_phi_extended_source,
-    phi_conventional,
-    phi_equation_error,
     phi_joint,
     phi_reduced,
     scan_objective,

@@ -163,6 +163,8 @@ class TestConfigHandling:
              "equiv: a receiver must be an integer, got 3.7"),
             ({"equiv": {"receivers": [3, True, 15]}},
              "equiv: a receiver must be an integer, got True"),
+            ({"equiv": {"receivers": 5}}, "equiv: receiver indices must be one sequence"),
+            ({"equiv": {"receivers": [[3, 9]]}}, "equiv: receiver indices must be one sequence"),
             ({"grad": {"n": 20.5}}, "grad: n must be an integer, got 20.5"),
             ({"grad": {"n": True}}, "grad: n must be an integer, got True"),
             ({"toy": {"nt": 512.5}}, "toy: nt must be an integer, got 512.5"),
@@ -174,6 +176,7 @@ class TestConfigHandling:
         ],
         ids=["equiv-n-fraction", "equiv-n-bool", "equiv-instances-fraction",
              "equiv-instances-bool", "equiv-receivers-fraction", "equiv-receivers-bool",
+             "equiv-receivers-scalar", "equiv-receivers-nested",
              "grad-n-fraction", "grad-n-bool", "toy-nt-fraction", "toy-nt-bool",
              "toy-scan-points-fraction", "toy-scan-points-bool"],
     )

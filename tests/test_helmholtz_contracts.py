@@ -1,0 +1,52 @@
+"""Randomized sweep of the Helmholtz verifier's contracts.
+
+Each draw is a 1-D Helmholtz problem: n in [5, 400) with h = 1/n, omega
+log-uniform in [0.5, 80], either boundary, 1 to 6 receivers at distinct
+rows, any covariance kind for each weight, and m = 0.25 (1 + 0.2 U(-1, 1)).
+The contract is a correct number or a package error: a draw may raise an
+``XfwiError``, but a value it returns must lie within its bound.
+"""
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from conftest import joint_state
+from xfwi import HelmholtzModel1D, XfwiError, grad_phi, helmholtz_problem, verify_equivalence
+from xfwi.cli import COVARIANCE_KINDS, random_covariance
+
+
+@st.composite
+def helmholtz_draws(draw):
+    n = draw(st.integers(5, 399))
+    omega = float(np.exp(draw(st.floats(np.log(0.5), np.log(80.0)))))
+    boundary = draw(st.sampled_from(["dirichlet", "sommerfeld"]))
+    receivers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    kind_m, kind_p = (draw(st.sampled_from(COVARIANCE_KINDS)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = HelmholtzModel1D(n=n, h=1.0 / n, omega=omega, boundary=boundary)
+    m = 0.25 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, n))
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = len(receivers)
+    d = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    sigma_m = random_covariance(kind_m, k, 1.0, rng)
+    sigma_p = random_covariance(kind_p, n, 1.0, rng)
+    return helmholtz_problem(model, receivers, q, d, sigma_m, sigma_p), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(draw=helmholtz_draws())
+def test_reduced_side_matches_the_joint_side(draw):
+    prob, m = draw
+    try:
+        rel_gap = verify_equivalence(prob, m).rel_gap
+        g = grad_phi(prob, m)
+        lam, _, u = joint_state(prob, m)
+    except XfwiError as exc:
+        event(f"raised {type(exc).__name__}")
+        return
+    assert rel_gap <= 1e-9
+    # the joint objective is stationary in u, so its gradient is the envelope
+    # -2 Re <lam, (dA/dm_k) u> at the joint optimum
+    envelope = -2.0 * prob.dA_contract(lam, u)
+    assert np.max(np.abs(envelope - g)) <= 1e-9 * np.max(np.abs(g))

@@ -12,7 +12,6 @@ PUBLIC_NAMES = {
     "NotPositiveDefiniteError",
     "RejectedInputError",
     "SingularGeometryError",
-    "UnsupportedGeometryError",
     "XfwiError",
     # formulations
     "EquivalenceReport",
@@ -21,24 +20,12 @@ PUBLIC_NAMES = {
     "fd_gradient",
     "grad_phi",
     "helmholtz_problem",
-    "minimize_phi_contrast_source",
-    "minimize_phi_extended_source",
-    "phi_contrast_source",
-    "phi_conventional",
-    "phi_equation_error",
-    "phi_extended_source",
     "phi_joint",
     "phi_reduced",
-    "sigma_of_m",
-    "solve_state",
     "verify_equivalence",
     # linops
     "CovarianceSpec",
-    "DenseOperator",
-    "LinearOperator",
     "SamplingOperator",
-    "dot_test",
-    "weighted_norm_sq",
     # toy
     "ExtendedSourceResult",
     "ScanResult",

@@ -3,11 +3,13 @@ import pytest
 
 from xfwi import CovarianceSpec
 from xfwi.errors import IllConditionedError, NotPositiveDefiniteError
+from xfwi.linops import _spd_solve
 
 
 def covariance_solve(M, b):
-    """The package's one dense Hermitian positive definite solve."""
-    return CovarianceSpec.dense(M).solve(b)
+    """``M^{-1} b``: ``CovarianceSpec.dense`` checks ``M``, then the one dense HPD solve."""
+    M = CovarianceSpec.dense(M).to_dense()
+    return _spd_solve(np.array(M, order="F"), b, "covariance")
 
 
 def random_spd(n, seed):

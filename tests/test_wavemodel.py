@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dA_dm, dense_forward_matrix, propagator
+from conftest import dA_dm, dense_forward_matrix, dot_test, propagator
 from xfwi import (
     Acquisition,
     Dataset,
     HelmholtzModel1D,
     adjoint_F,
     assemble_A,
-    dot_test,
     forward_F,
     kernel_k,
 )
@@ -91,6 +90,22 @@ class TestAssembly:
         with pytest.raises(RejectedInputError):
             assemble_A(model, medium)
 
+    @pytest.mark.parametrize(
+        "n, ok", [(20.5, False), (True, False), (np.True_, False), (np.float64(20.5), False),
+                  (float("nan"), False), (20.0, True), (np.int64(20), True)],
+        ids=["fraction", "bool", "numpy-bool", "numpy-fraction", "nan", "integral-float",
+             "numpy-int"],
+    )
+    def test_grid_size_is_an_integer(self, n, ok):
+        # int() alone would run 20.5 as 20, and a float n fails in assemble_A
+        if not ok:
+            with pytest.raises(RejectedInputError, match="n must be an integer"):
+                HelmholtzModel1D(n=n, h=0.05, omega=30.0)
+            return
+        model = HelmholtzModel1D(n=n, h=0.05, omega=30.0)
+        assert type(model.n) is int and model.n == 20
+        assert assemble_A(model, np.full(20, 0.3)).range_dim == 20
+
     def test_boundary_symmetry(self):
         m = np.full(8, 0.3)
         A_d = assemble_A(HelmholtzModel1D(8, 0.1, 10.0, "dirichlet"), m).to_dense()
@@ -134,7 +149,7 @@ class TestStackedAssembly:
         model = HelmholtzModel1D(n, h=1.0 / n, omega=6.0, boundary=boundary)
         media = rng.uniform(0.2, 0.4, (4, n))
         A = assemble_A(model, media)
-        assert A.blocks == 4 and A.shape == (4 * n, 4 * n)
+        assert A.blocks == 4 and (A.range_dim, A.domain_dim) == (4 * n, 4 * n)
         assert A.lower is A.upper
         assert not A.lower[n - 1::n].any()
         bounds = _dominance_bound(A)
@@ -416,6 +431,21 @@ class TestForward:
     def test_receiver_at_source_rejected(self):
         with pytest.raises(SingularGeometryError):
             line_acquisition([0.0, 1.0], nt=64, dt=0.01)
+
+    @pytest.mark.parametrize(
+        "nt, ok", [(64.5, False), (True, False), (np.True_, False), (64.0, True),
+                   (np.int32(64), True)],
+        ids=["fraction", "bool", "numpy-bool", "integral-float", "numpy-int"],
+    )
+    def test_sample_count_is_an_integer(self, nt, ok):
+        # a float nt would otherwise fail inside scipy's FFT, not at construction
+        if not ok:
+            with pytest.raises(RejectedInputError, match="nt must be an integer"):
+                line_acquisition([1.0], nt=nt, dt=0.01)
+            return
+        acq = line_acquisition([1.0], nt=nt, dt=0.01)
+        assert type(acq.nt) is int and acq.nt == 64
+        assert forward_F(2.0, acq, np.ones(64)).values.shape == (1, 64)
 
     def test_positions_are_read_only_copies(self):
         # the geometry is checked once, on construction, so it must not change

@@ -246,15 +246,15 @@ def random_covariance(kind, dim, scale, rng):
 def make_equiv_instances(settings, seed):
     """Yield (instance_id, problem, medium) tuples for the equivalence suite."""
     rng = np.random.default_rng(seed)
-    n = int(settings["n"])
+    n = _integer(settings["n"], "n")
     model = HelmholtzModel1D(
         n=n,
         h=float(settings["h"]),
         omega=float(settings["omega"]),
         boundary=settings["boundary"],
     )
-    receivers = [int(i) for i in settings["receivers"]]
-    for instance_id in range(int(settings["instances"])):
+    receivers = [_integer(i, "a receiver") for i in settings["receivers"]]
+    for instance_id in range(_integer(settings["instances"], "instances")):
         m = rng.uniform(settings["m_min"], settings["m_max"], size=n)
         q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if settings["data"] == "consistent":
@@ -282,7 +282,7 @@ def gradient_problem(settings, seed, n=None):
     gradient vanishes.
     """
     rng = np.random.default_rng(seed)
-    n = int(settings["n"]) if n is None else int(n)
+    n = _integer(settings["n"] if n is None else n, "n")
     model = HelmholtzModel1D(
         n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
     )

@@ -43,6 +43,8 @@ from .linops import (
 from .wavemodel import medium_values
 
 _FD_STEP = 1e-3  # relative step of fd_gradient, scaled per component
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+_ETA = float(np.finfo(float).smallest_subnormal)  # the most an underflowing product loses
 # Entries (rows of the stacked operator times its receivers plus one) per
 # group of fd_gradient's media: 32 media at n = 100 with 3 receivers.
 _FD_GROUP_ENTRIES = 12800
@@ -60,7 +62,9 @@ class Problem:
     ``to_dense()``, from which the joint system is assembled (see
     :func:`_operator_slots`). The problem keeps its last reduced pass, keyed
     on the medium, and reuses it for the same medium (see
-    :func:`_reduced_at`). Given a stack of ``b`` media, one per row, the
+    :func:`_reduced_at`), and the array it adds to ``K`` and the eigenvalue
+    floor of ``K + sigma_m`` (see :func:`_gram_shift` and
+    :func:`_gram_floor`). Given a stack of ``b`` media, one per row, the
     builder returns the block-diagonal operator of their ``b`` operators, of
     order ``b * state_dim``; :func:`fd_gradient` evaluates its media so, and
     rejects an operator of any other order. ``dA_contract(v, w)`` returns
@@ -76,6 +80,8 @@ class Problem:
     sigma_m: CovarianceSpec
     sigma_p: CovarianceSpec
     _last_pass: tuple = field(default=None, init=False, repr=False, compare=False)
+    _gram_shift: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _gram_floor: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = _read_only(np.array(self.q, dtype=complex))
@@ -94,6 +100,8 @@ class Problem:
             raise DimensionMismatchError("sigma_m dim must equal data dim")
         if self.sigma_p.dim != len(q):
             raise DimensionMismatchError("sigma_p dim must equal state dim")
+        object.__setattr__(self, "_gram_shift", _gram_shift(self.sigma_m))
+        object.__setattr__(self, "_gram_floor", _gram_floor(self))
 
     @property
     def state_dim(self):
@@ -135,10 +143,6 @@ class EquivalenceReport:
     data_split_err: float
     process_split_err: float
     identity_max_err: float
-
-    @property
-    def max_intermediate_err(self):
-        return max(self.state_split_err, self.data_split_err, self.process_split_err)
 
 
 def helmholtz_problem(model, receiver_indices, q, d, sigma_m, sigma_p):
@@ -182,6 +186,52 @@ def _sensitivity(prob, A, b=1):
     GH = GH.reshape(b, prob.state_dim, prob.data_dim)
     K = GH.conj().transpose(0, 2, 1) @ prob.sigma_p.apply(GH)
     return GH, 0.5 * (K + K.conj().transpose(0, 2, 1))
+
+
+def _gram_shift(sigma_m):
+    """``sigma_m`` as the ``n_rec x n_rec`` array that is added to ``K``.
+
+    A diagonal ``sigma_m`` has -0.0 off its diagonal: ``x + (-0.0)`` is
+    ``x`` bit for bit, where ``x + 0.0`` turns -0.0 into +0.0, so the sum is
+    ``K`` with ``sigma_m`` added to its diagonal, entry for entry.
+    """
+    if sigma_m.kind != sigma_m.DIAGONAL:
+        return sigma_m.to_dense()
+    shift = np.full((sigma_m.dim, sigma_m.dim), complex(-0.0, -0.0))
+    np.fill_diagonal(shift, sigma_m._diag)
+    return _read_only(shift)
+
+
+def _gram_floor(prob):
+    """``(low, slope)``: no block of ``K + sigma_m`` has an eigenvalue below ``low - slope ||.||_1``.
+
+    The floor :func:`~xfwi.linops._spd_solve` takes, or None where none is
+    derived: a dense ``sigma_m`` or ``sigma_p``. For diagonal ones, ``K`` as
+    :func:`_sensitivity` computes it is ``G sigma_p G^H``, exactly positive
+    semidefinite for the computed ``G``, plus rounding: one product per
+    entry of ``sigma_p G^H``, a complex dot product of length ``n`` and the
+    symmetrisation. Each entry of that error is at most
+    ``(sqrt(2) (n + 2) + 2) u sqrt(K_aa K_bb)`` (``u`` the unit roundoff),
+    so its 2-norm is at most that multiple of ``tr K <= k ||W||_1`` for
+    ``W = K + sigma_m`` with ``k`` receivers, and adding ``sigma_m`` rounds
+    each diagonal entry of ``W`` once more. Underflow adds at most ``eta``,
+    the smallest subnormal, per product, and
+    ``sum_j |G_ja| <= sqrt(n K_aa / min sigma_p)``. So the smallest
+    eigenvalue of the computed ``W`` is at least::
+
+        min sigma_m - 2 k (n + k + 8) u ||W||_1
+                    - 2 k (n + 1) eta (1 + n ||W||_1 / min sigma_p)
+
+    whose margins over that sum also cover the rounding of the bound.
+    """
+    sigma_m, sigma_p = prob.sigma_m, prob.sigma_p
+    if sigma_m.kind != sigma_m.DIAGONAL or sigma_p.kind != sigma_p.DIAGONAL:
+        return None
+    n, k = prob.state_dim, prob.data_dim
+    underflow = 2.0 * k * (n + 1) * _ETA
+    low = float(sigma_m._diag.min()) - underflow
+    slope = 2.0 * k * (n + k + 8) * _UNIT_ROUNDOFF + underflow * n / float(sigma_p._diag.min())
+    return low, slope
 
 
 def _operator_slots(A, adjoint=False):
@@ -345,10 +395,11 @@ def _reduced(prob, A, b=1):
     Returns ``(reports, u0, G^H, K)``: one report per block, and
     ``u0 = A^{-1} q``, ``G^H`` and ``K`` (see :func:`_sensitivity`) stacked
     along a leading axis of length ``b``. ``A`` is solved once forward,
-    against ``q`` tiled over its blocks, and once adjoint; each block's
-    ``K + sigma_m`` is then solved on its own, with its own checks. One
-    medium is the case ``b = 1``. An ``A`` whose order is not ``b n`` raises
-    :class:`DimensionMismatchError`.
+    against ``q`` tiled over its blocks, and once adjoint; the blocks of
+    ``K + sigma_m`` are then formed, normed and bounded together by
+    :func:`_weight_solve`, and only their factors, solves and the value's
+    checks run per block. One medium is the case ``b = 1``. An ``A`` whose
+    order is not ``b n`` raises :class:`DimensionMismatchError`.
     """
     n = prob.state_dim
     if A.range_dim != b * n:
@@ -358,28 +409,28 @@ def _reduced(prob, A, b=1):
     u0 = A.solve(_tiled(prob.q, b)).reshape(b, n)
     r = u0.take(prob.P.receiver_indices, axis=1) - prob.d
     GH, K = _sensitivity(prob, A, b)
-    return [_weighted(prob, K[i], r[i]) for i in range(b)], u0, GH, K
+    return [_report(r_i, x) for r_i, x in zip(r, _weight_solve(prob, K, r))], u0, GH, K
 
 
-def _weight_solve(prob, K, b):
-    """``(K + sigma_m)^{-1} b`` for one medium's ``K``, by :func:`_spd_solve` and its gate."""
-    sigma_m = prob.sigma_m
-    if sigma_m.kind == sigma_m.DIAGONAL:
-        W = K.copy()  # C order, so its ravel is a view and the diagonal a stride
-        W.ravel()[:: len(W) + 1] += sigma_m._diag
-    else:
-        W = K + sigma_m.to_dense()
+def _weight_solve(prob, K, R):
+    """``(K_i + sigma_m)^{-1} R_i`` for each block of a stack of ``K``, by :func:`_spd_solve`.
+
+    Every block of ``K + sigma_m`` is formed in one array operation, and
+    gated by the free bound from the problem's :func:`_gram_floor` where
+    there is one.
+    A ``NotPositiveDefiniteError`` of a block is raised as an
+    :class:`IllConditionedError`.
+    """
     try:
-        return _spd_solve(W, b, "K + sigma_m")
+        return _spd_solve(K + prob._gram_shift, R, "K + sigma_m", prob._gram_floor)
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             f"weight matrix K + sigma_m is singular to tolerance: {exc}"
         ) from exc
 
 
-def _weighted(prob, K, r):
-    """The report ``r^H (K + sigma_m)^{-1} r`` of one medium, from its ``K`` and ``r``."""
-    r_tilde = _weight_solve(prob, K, r)
+def _report(r, r_tilde):
+    """The report ``Re <r, r_tilde>`` of one medium, with its imaginary part checked."""
     z = np.vdot(r, r_tilde)
     if abs(z.imag) > 1e-10 * abs(z.real) + 1e-300:
         raise IllConditionedError(
@@ -464,9 +515,12 @@ def fd_gradient(prob, m):
     ``_FD_GROUP_ENTRIES / (n (n_rec + 1))``, as stacks: ``prob.A_builder``
     gets a ``(b, n)`` stack and must return the block-diagonal operator of
     its ``b`` media (of order ``b n``, else :class:`DimensionMismatchError`).
-    Every medium's value is bit for bit the one its own pass would give, and
-    every medium's checks still run; the first group with a failing medium
-    raises.
+    A group's ``K + sigma_m`` blocks are formed, normed and bounded at once;
+    only their Cholesky factors and solves, the ``pocon`` estimate of a
+    block that fails the free bound, and each value's checks run per
+    medium. Every medium's value is bit for bit the one its own pass would
+    give, and every medium's checks still run; the first group with a
+    failing medium raises.
     """
     v = medium_values(m)
     if v.ndim != 1:
@@ -504,7 +558,7 @@ def _identity_sides(prob, solve, A, GH, K):
     n, k = prob.state_dim, prob.data_dim
     unit = np.zeros((2 * n + k, k), dtype=complex)
     unit[n:n + k] = np.eye(k)
-    GH_weighted = GH @ _weight_solve(prob, K, np.eye(k, dtype=complex))
+    GH_weighted = GH @ _weight_solve(prob, K[None], np.eye(k, dtype=complex)[None])[0]
     return solve(unit)[n + k:], A.solve(prob.sigma_p.apply(GH_weighted))
 
 

@@ -306,26 +306,43 @@ def spd_condition(factor, norm_1):
     return np.inf if rcond == 0 else 1.0 / rcond
 
 
-def _spd_solve(M, b, what):
-    """Solve ``M x = b`` for a Hermitian ``M`` that the caller owns and drops.
+def _spd_solve(M, b, what, floor=None):
+    """Solve ``M_i x_i = b_i`` for each Hermitian ``M_i`` of a stack that the caller owns and drops.
 
-    The package's one dense Hermitian positive definite solve, of
-    ``K + sigma_m``. The internal callers build ``M`` Hermitian bit for bit
-    and so skip :func:`_check_hermitian`. The 1-norm (largest column sum) is
-    taken before :func:`_spd_factor` factors ``M``, in place when it can; a
-    ``pocon`` estimate of ``cond_1`` of 1e14 or more raises
-    :class:`IllConditionedError`; :func:`_potrs` then solves.
+    The package's one dense Hermitian positive definite solve, of the blocks
+    of ``K + sigma_m``. ``M`` has shape ``(s, k, k)`` and ``b`` holds one
+    right-hand side (or one per column) per block; the result is the list of
+    the ``s`` solutions. The internal callers build every block Hermitian
+    bit for bit and so skip :func:`_check_hermitian`.
+
+    The blocks' 1-norms (largest column sums) are taken in one pass, before
+    :func:`_spd_factor` factors each block, in place when it can, and
+    :func:`_potrs` solves it. Each block's ``cond_1`` is checked against
+    1e14 in two steps, as :func:`~xfwi.wavemodel.assemble_A` does. ``floor``
+    is None, or a pair ``(low, slope)`` such that every block's smallest
+    eigenvalue is at least ``lambda_i = low - slope ||M_i||_1``. A positive
+    ``lambda_i`` gives the free bound
+    ``cond_1 = ||M_i||_1 ||M_i^{-1}||_1 <= sqrt(k) ||M_i||_1 / lambda_i``,
+    since ``||M_i^{-1}||_1 <= sqrt(k) ||M_i^{-1}||_2``. Only a block whose
+    bound is not below 1e14 (or does not exist) gets the ``pocon`` estimate,
+    and an estimate not below 1e14 raises :class:`IllConditionedError`. The
+    estimate never exceeds ``cond_1``, which never exceeds the bound, so the
+    bound accepts nothing the estimate would reject.
     """
-    norm_1 = np.abs(M).sum(axis=0).max()
-    factor = _spd_factor(M, what)
-    check_condition(spd_condition(factor, norm_1), what)
     b = np.asarray(b)
-    n = factor.shape[0]
-    if b.shape[0] != n:
-        raise DimensionMismatchError(
-            f"rhs leading dim {b.shape[0]} does not match matrix dim {n}"
-        )
-    return _potrs(factor, b)
+    s, k = M.shape[:2]
+    if b.shape[:2] != (s, k):
+        raise DimensionMismatchError(f"rhs of shape {b.shape} for {s} matrices of order {k}")
+    norms = np.abs(M).sum(axis=1).max(axis=1).tolist()
+    # the bound is below 1e14 for a norm below this; none is for a NaN norm
+    limit = -np.inf if floor is None else floor[0] / (floor[1] + k**0.5 / _COND_LIMIT)
+    x = []
+    for i, norm_1 in enumerate(norms):
+        factor = _spd_factor(M[i], what)
+        if not norm_1 < limit:
+            check_condition(spd_condition(factor, norm_1), what)
+        x.append(_potrs(factor, b[i]))
+    return x
 
 
 class CovarianceSpec:

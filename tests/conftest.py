@@ -20,8 +20,12 @@ from xfwi import (
 )
 from xfwi import formulations, linops
 from xfwi.cli import random_covariance
-from xfwi.linops import _spd_solve
 from xfwi.wavemodel import _check_velocity, _phase_factors, medium_values
+
+
+def spd_solve(M, b, what):
+    """``M^{-1} b`` for one Hermitian ``M`` the caller drops, by ``linops._spd_solve``."""
+    return linops._spd_solve(M[None], np.asarray(b)[None], what)[0]
 
 
 def make_helmholtz_instance(
@@ -241,7 +245,7 @@ def minimize_phi_extended_source(prob, m):
         prob.sigma_p, np.eye(prob.state_dim, dtype=complex)
     )
     N = 0.5 * (N + N.conj().T)
-    f = _spd_solve(N, -(G.conj().T @ cov_solve(prob.sigma_m, r)), "normal matrix")
+    f = spd_solve(N, -(G.conj().T @ cov_solve(prob.sigma_m, r)), "normal matrix")
     return f, phi_extended_source(prob, m, f)
 
 
@@ -284,7 +288,7 @@ def minimize_phi_contrast_source(prob, m, m0):
     rhs = -(
         H.conj().T @ cov_solve(prob.sigma_m, r0) + C.conj().T @ cov_solve(prob.sigma_p, c0)
     )
-    w = _spd_solve(N, rhs, "normal matrix")
+    w = spd_solve(N, rhs, "normal matrix")
     return w, phi_contrast_source(prob, m, w, m0)
 
 
@@ -361,8 +365,8 @@ def dense_identity_sides(prob, m):
     N = B + Pd.conj().T @ cov_solve(prob.sigma_m, Pd)
     N = 0.5 * (N + N.conj().T)
     Sm_inv = cov_solve(prob.sigma_m, np.eye(prob.data_dim, dtype=complex))
-    lhs = _spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
-    BinvPH = _spd_solve(B, Pd.conj().T, "Gram matrix")
+    lhs = spd_solve(N, Pd.conj().T @ Sm_inv, "normal matrix")
+    BinvPH = spd_solve(B, Pd.conj().T, "Gram matrix")
     K = Pd @ BinvPH
     rhs = BinvPH @ np.linalg.inv(0.5 * (K + K.conj().T) + prob.sigma_m.to_dense())
     return lhs, rhs

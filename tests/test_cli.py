@@ -9,7 +9,15 @@ import pytest
 
 import xfwi
 from conftest import fd_gradient_per_medium
-from xfwi.cli import DEFAULT_CONFIG, _toy_config, gradient_problem, main, write_csv
+from xfwi.cli import (
+    DEFAULT_CONFIG,
+    _toy_config,
+    gradient_problem,
+    main,
+    make_equiv_instances,
+    write_csv,
+)
+from xfwi.errors import RejectedInputError
 from xfwi.formulations import grad_phi
 from xfwi.toy import estimate_extended_source
 
@@ -193,6 +201,53 @@ class TestConfigHandling:
         payload = {"equiv": {"n": 20.0, "instances": 1.0, "receivers": [3.0, 9, 15]}}
         cfg = write_config(tmp_path, payload)
         assert main(["equiv-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"n": 20.5}, "n must be an integer, got 20.5"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"n": 20.5, "instances": 2.5}, "n must be an integer, got 20.5"),
+            ({"instances": 2.5}, "instances must be an integer, got 2.5"),
+            ({"instances": True}, "instances must be an integer, got True"),
+            ({"receivers": [3.7, 9, 15]}, "a receiver must be an integer, got 3.7"),
+            ({"receivers": [3, True, 15]}, "a receiver must be an integer, got True"),
+        ],
+        ids=["n-fraction", "n-bool", "n-and-instances-fraction", "instances-fraction",
+             "instances-bool", "receivers-fraction", "receivers-bool"],
+    )
+    def test_equiv_instances_take_integers_only(self, settings, message):
+        # a caller that skips load_config gets no truncation either
+        with pytest.raises(RejectedInputError, match=message):
+            list(make_equiv_instances({**DEFAULT_CONFIG["equiv"], **settings}, 1))
+
+    @pytest.mark.parametrize(
+        "settings, n, message",
+        [
+            ({"n": 20.5}, None, "n must be an integer, got 20.5"),
+            ({"n": True}, None, "n must be an integer, got True"),
+            ({}, 20.7, "n must be an integer, got 20.7"),
+            ({}, True, "n must be an integer, got True"),
+        ],
+        ids=["settings-fraction", "settings-bool", "argument-fraction", "argument-bool"],
+    )
+    def test_gradient_problem_takes_integers_only(self, settings, n, message):
+        with pytest.raises(RejectedInputError, match=message):
+            gradient_problem({**DEFAULT_CONFIG["grad"], **settings}, 1, n=n)
+
+    @pytest.mark.parametrize("n", [20.0, np.int64(20), np.float64(20.0)], ids=repr)
+    def test_integral_values_build_the_same_instances(self, n):
+        settings = {**DEFAULT_CONFIG["equiv"], "n": 20}
+        as_int = [(i, p.q.tobytes(), p.d.tobytes(), m.tobytes())
+                  for i, p, m in make_equiv_instances(settings, 1)]
+        integral = {**settings, "n": n, "instances": float(settings["instances"]),
+                    "receivers": [np.int64(i) for i in settings["receivers"]]}
+        assert [(i, p.q.tobytes(), p.d.tobytes(), m.tobytes())
+                for i, p, m in make_equiv_instances(integral, 1)] == as_int
+        ref, m_ref = gradient_problem(DEFAULT_CONFIG["grad"], 1, n=20)
+        prob, m = gradient_problem(DEFAULT_CONFIG["grad"], 1, n=n)
+        assert (prob.q.tobytes(), prob.d.tobytes(), m.tobytes()) == (
+            ref.q.tobytes(), ref.d.tobytes(), m_ref.tobytes())
 
     @pytest.mark.parametrize("n", [201, 20_000])
     def test_equiv_n_above_200_runs_with_diagonal_kinds(self, tmp_path, n):

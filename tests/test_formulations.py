@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from xfwi import (
     verify_equivalence,
 )
 from xfwi import formulations
-from xfwi.cli import random_covariance
+from xfwi.cli import COVARIANCE_KINDS, random_covariance
 from xfwi import linops
 from xfwi.errors import (
     DimensionMismatchError,
@@ -112,6 +114,11 @@ def dense_state_correction(prob, m):
     u0 = A_inv @ prob.q
     r = prob.d - Pd @ u0
     return u0, A_inv @ X @ np.linalg.solve(K + prob.sigma_m.to_dense(), r)
+
+
+def max_split_err(rep):
+    """The largest of an ``EquivalenceReport``'s three split errors."""
+    return max(rep.state_split_err, rep.data_split_err, rep.process_split_err)
 
 
 def two_by_two_problem(eps):
@@ -284,7 +291,7 @@ class TestJointState:
             assert abs(pj - pr) <= 1e-7 * pj
         rep = verify_equivalence(prob, m)
         assert rep.process_split_err <= 1e-7
-        assert rep.max_intermediate_err <= 1e-6
+        assert max_split_err(rep) <= 1e-6
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
@@ -724,7 +731,7 @@ class TestVerifiers:
         rep = verify_equivalence(random_operator_problem(rng, q, d), np.ones(15))
         assert rep.phi_joint > 0
         assert rep.rel_gap <= 1e-10
-        assert rep.max_intermediate_err <= 1e-10
+        assert max_split_err(rep) <= 1e-10
 
     @pytest.mark.parametrize(
         "check", [verify_equivalence, phi_joint], ids=lambda f: f.__name__
@@ -828,11 +835,12 @@ class TestVerifiers:
     )
     def test_weight_condition_is_checked(self, check):
         # cond_1(A) = 4e9 passes, but K + Sm has about cond(A)^2 (pocon: 1.6e16);
-        # unchecked, the reduced value read 0.5005 against the exact 1 + 2e-9
+        # unchecked, the reduced value read 0.5005 against the exact 1 + 2e-9.
+        # sigma_m = 1e-300 I gives no free bound, so pocon reports it.
         prob = two_by_two_problem(1e-9)
         with pytest.raises(IllConditionedError) as excinfo:
             check(prob, np.ones(2))
-        assert excinfo.value.condition >= 1e14
+        assert excinfo.value.condition == pytest.approx(1.5625e16, rel=1e-6)
         assert abs(phi_joint(prob, np.ones(2)).value - (1.0 + 1e-9) ** 2) <= 1e-8
 
     def test_equivalence_report(self):
@@ -840,7 +848,7 @@ class TestVerifiers:
             prob, m = make_helmholtz_instance(seed=40 + seed)
             rep = verify_equivalence(prob, m)
             assert rep.rel_gap <= 1e-10
-            assert rep.max_intermediate_err <= 1e-10
+            assert max_split_err(rep) <= 1e-10
 
     def test_equivalence_consistent_data(self):
         prob, m = make_helmholtz_instance(seed=45, data="consistent")
@@ -976,11 +984,137 @@ class TestStackedFiniteDifferences:
             fd_gradient(prob, np.stack([m, m]))
 
 
+def real_embedding(W, shift=0.0):
+    """``W - shift I`` as the exact rational ``[[Re, -Im], [Im, Re]]``, whose spectrum is W's, doubled."""
+    k = len(W)
+    A = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            re, im = Fraction(W[i, j].real), Fraction(W[i, j].imag)
+            re -= Fraction(shift) if i == j else 0
+            A[i][j] = A[i + k][j + k] = re
+            A[i + k][j], A[i][j + k] = im, -im
+    return A
+
+
+def exactly_positive_semidefinite(W, shift):
+    """Whether ``W - shift I`` has no negative eigenvalue, by exact elimination."""
+    A = real_embedding(W, shift)
+    for p in range(len(A)):
+        if A[p][p] < 0 or (A[p][p] == 0 and any(A[p][p + 1:])):
+            return False
+        for i in range(p + 1, len(A)) if A[p][p] else ():
+            f = A[i][p] / A[p][p]
+            A[i] = [a - f * b for a, b in zip(A[i], A[p])]
+    return True
+
+
+def condition_1_above(W):
+    """An upper bound on ``cond_1(W)`` within a few ulps: the exact inverse, moduli rounded up."""
+    k = len(W)
+    A = [row + [Fraction(int(i == j)) for j in range(2 * k)]
+         for i, row in enumerate(real_embedding(W))]
+    for p in range(2 * k):  # Gauss-Jordan with the first nonzero pivot
+        q = next(i for i in range(p, 2 * k) if A[i][p] != 0)
+        A[p], A[q] = A[q], A[p]
+        A[p] = [a / A[p][p] for a in A[p]]
+        for i in range(2 * k):
+            if i != p and A[i][p] != 0:
+                f = A[i][p]
+                A[i] = [a - f * b for a, b in zip(A[i], A[p])]
+
+    def modulus_above(re, im):
+        return Fraction(math.sqrt(float(re * re + im * im))) * (1 + Fraction(1, 2**50))
+
+    def norm_1_above(entry):
+        return max(sum(modulus_above(*entry(i, j)) for i in range(k)) for j in range(k))
+
+    W_norm = norm_1_above(lambda i, j: (Fraction(W[i, j].real), Fraction(W[i, j].imag)))
+    inv_norm = norm_1_above(lambda i, j: (A[i][2 * k + j], A[i + k][2 * k + j]))
+    return W_norm * inv_norm
+
+
+class TestGramBound:
+    """The free bound on ``cond_1`` of ``K + sigma_m`` and the ``pocon`` estimate behind it."""
+
+    @pytest.mark.parametrize("kind_p", COVARIANCE_KINDS)
+    @pytest.mark.parametrize("kind_m", COVARIANCE_KINDS)
+    def test_floor_and_bound_hold_exactly(self, kind_m, kind_p):
+        # random stacks of perturbed media and sigma_m from 1e-300 to 1e2, half
+        # of the draws a little above the rounding level of K's trace
+        rng = np.random.default_rng([COVARIANCE_KINDS.index(kind_m), COVARIANCE_KINDS.index(kind_p)])
+        bounded = 0
+        for _ in range(16):
+            n = int(rng.integers(8, 60))
+            k = int(rng.integers(1, 6))
+            receivers = rng.choice(n, k, replace=False)
+            model = HelmholtzModel1D(n=n, h=1.0 / n, omega=float(np.exp(rng.uniform(-1, 4))),
+                                     boundary=str(rng.choice(["dirichlet", "sommerfeld"])))
+            media = 0.25 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, (int(rng.integers(1, 5)), n)))
+            if kind_p == "diagonal" and rng.random() < 0.5:
+                # spread over 300 decades, K has fewer than k directions above
+                # rounding and its computed eigenvalues straddle zero
+                sigma_p = CovarianceSpec.diagonal(10 ** rng.uniform(-300, 0, n))
+            else:
+                sigma_p = random_covariance(kind_p, n, float(10 ** rng.uniform(-3, 3)), rng)
+            probe = helmholtz_problem(model, receivers, np.ones(n), np.ones(k),
+                                      random_covariance("scaled", k, 1.0, rng), sigma_p)
+            try:
+                _, K = formulations._sensitivity(probe, probe.A_builder(media), len(media))
+            except XfwiError:
+                continue
+            trace = np.trace(K, axis1=1, axis2=2).real.max() / k
+            exponent = (rng.uniform(-300, 2) if rng.random() < 0.5
+                        else np.log10(trace) + rng.uniform(-16, -10))
+            sigma_m = random_covariance(kind_m, k, float(10 ** (exponent / 2)), rng)
+            prob = dataclasses.replace(probe, sigma_m=sigma_m)
+            W = K + prob._gram_shift
+            floor = prob._gram_floor
+            if floor is None:
+                assert "dense" in (kind_m, kind_p)  # these blocks get pocon
+                continue
+            norms = np.abs(W).sum(axis=1).max(axis=1)
+            lam = floor[0] - floor[1] * norms
+            for W_i, norm_i, lam_i in zip(W, norms, lam):
+                assert exactly_positive_semidefinite(W_i, lam_i)
+                if lam_i > 0:
+                    bounded += 1
+                    assert Fraction(np.sqrt(k) * norm_i / lam_i) >= condition_1_above(W_i)
+        assert bounded > 0 or "dense" in (kind_m, kind_p)
+
+    def test_pocon_runs_for_the_blocks_that_fail_the_bound_only(self, monkeypatch):
+        prob, _ = make_helmholtz_instance(seed=92, cov_kind="scaled")  # sigma_m = I
+        # blocks 1 and 3 have cond_1 = 1 + 7e13, whose bound is not below
+        # 1e14, though the estimate is; the others are the identity
+        spike = np.diag([7e13, 0.0, 0.0]).astype(complex)
+        K = np.stack([0 * spike, spike, 0 * spike, spike, 0 * spike])
+        R = np.ones((5, 3), dtype=complex)
+        seen = []
+        real = linops.spd_condition
+        monkeypatch.setattr(
+            linops, "spd_condition", lambda factor, norm_1: seen.append(norm_1) or real(factor, norm_1)
+        )
+        x = formulations._weight_solve(prob, K, R)
+        assert seen == [1.0 + 7e13] * 2
+        for K_i, x_i in zip(K, x):
+            np.testing.assert_allclose(x_i, np.linalg.solve(K_i + np.eye(3), R[0]), rtol=1e-15)
+
+    def test_dense_weights_estimate_every_block(self, monkeypatch):
+        prob, m = make_helmholtz_instance(seed=93, cov_kind="dense")
+        calls = []
+        real = linops.spd_condition
+        monkeypatch.setattr(
+            linops, "spd_condition", lambda *args: calls.append(1) or real(*args)
+        )
+        fd_gradient(prob, m)
+        assert prob._gram_floor is None and len(calls) == 4 * len(m)
+
+
 def test_lapack_calls_of_one_reduced_objective(monkeypatch):
     # A deterministic guard on the per-call overhead of a one-medium reduced
     # evaluation: one tridiagonal factor, no gtcon (the free
-    # bound settles the check), and one Cholesky factor, condition estimate
-    # and solve of K + sigma_m.
+    # bound settles the check), and one Cholesky factor and solve of
+    # K + sigma_m, with no pocon (its free bound settles that check too).
     prob, m = grad_default_problem(100)
     calls = {"gttrf": 0, "gtcon": 0, "potrf": 0, "pocon": 0, "potrs": 0}
 
@@ -998,7 +1132,7 @@ def test_lapack_calls_of_one_reduced_objective(monkeypatch):
         linops, "_lapack", lambda name, *dtypes: counting(name, real_lapack(name, *dtypes))
     )
     phi_reduced(prob, m)
-    assert calls == {"gttrf": 1, "gtcon": 0, "potrf": 1, "pocon": 1, "potrs": 1}
+    assert calls == {"gttrf": 1, "gtcon": 0, "potrf": 1, "pocon": 0, "potrs": 1}
 
 
 def evaluations(prob, m):

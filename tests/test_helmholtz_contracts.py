@@ -4,7 +4,9 @@ Each draw is a 1-D Helmholtz problem: n in [5, 400) with h = 1/n, omega
 log-uniform in [0.5, 80], either boundary, 1 to 6 receivers at distinct
 rows, any covariance kind for each weight, and m = 0.25 (1 + 0.2 U(-1, 1)).
 The contract is a correct number or a package error: a draw may raise an
-``XfwiError``, but a value it returns must lie within its bound.
+``XfwiError``, but a value it returns must lie within its bound. Each draw
+also runs a stack of 2 to 5 perturbations of its medium through the reduced
+pass, whose blocks must be the media's own passes bit for bit.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import joint_state
 from xfwi import HelmholtzModel1D, XfwiError, grad_phi, helmholtz_problem, verify_equivalence
 from xfwi.cli import COVARIANCE_KINDS, random_covariance
+from xfwi.formulations import _reduced
 
 
 @st.composite
@@ -31,13 +34,37 @@ def helmholtz_draws(draw):
     d = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     sigma_m = random_covariance(kind_m, k, 1.0, rng)
     sigma_p = random_covariance(kind_p, n, 1.0, rng)
-    return helmholtz_problem(model, receivers, q, d, sigma_m, sigma_p), m
+    stack = m * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, (int(rng.integers(2, 6)), n)))
+    return helmholtz_problem(model, receivers, q, d, sigma_m, sigma_p), m, stack
+
+
+def reduced_bytes(prob, media):
+    """Value, residual and weighted residual of each block of ``media``'s pass, as bytes."""
+    reports = _reduced(prob, prob.A_builder(media), len(media) if media.ndim == 2 else 1)[0]
+    return [[rep.value.hex(), rep.residual.tobytes(), rep.weighted_residual.tobytes()]
+            for rep in reports]
+
+
+def own_passes(prob, stack):
+    """Each medium's own one-block pass as bytes, or None where it raises."""
+    passes = []
+    for medium in stack:
+        try:
+            passes += reduced_bytes(prob, medium)
+        except XfwiError:
+            passes.append(None)
+    return passes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(draw=helmholtz_draws())
 def test_reduced_side_matches_the_joint_side(draw):
-    prob, m = draw
+    prob, m, stack = draw
+    own = own_passes(prob, stack)
+    try:
+        assert reduced_bytes(prob, stack) == own
+    except XfwiError:
+        assert None in own  # a stack fails only where one of its media does
     try:
         rel_gap = verify_equivalence(prob, m).rel_gap
         g = grad_phi(prob, m)

@@ -137,7 +137,8 @@ class TestSpdHelpers:
         factor = _spd_factor(M.copy(order="F"), "matrix")
         assert np.array_equal(factor, expected_factor[0])
         assert np.array_equal(_potrs(factor, b), expected)
-        assert np.array_equal(_spd_solve(M.copy(order="F"), b, "matrix"), expected)
+        (x,) = _spd_solve(M.copy(order="F")[None], b[None], "matrix")
+        assert np.array_equal(x, expected)
         # a real M with a complex b takes the complex routine, as scipy does
         assert expected.dtype == np.result_type(M, b)
 

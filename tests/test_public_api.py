@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import xfwi
 
@@ -55,3 +59,17 @@ def test_public_names_are_the_listed_ones():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # The joint solve imports scipy.sparse inside _joint_matrix and
+    # _joint_factor, which keeps its import out of every command's start-up,
+    # the toy commands' included.
+    src = str(Path(xfwi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, xfwi.cli; print(*(m for m in sys.modules if m.startswith('scipy.sparse')))"],
+        env=env, check=True, capture_output=True, text=True,
+    ).stdout.split()
+    assert loaded == []

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import spd_solve
 from xfwi import CovarianceSpec
 from xfwi.errors import IllConditionedError, NotPositiveDefiniteError
-from xfwi.linops import _spd_solve
 
 
 def covariance_solve(M, b):
     """``M^{-1} b``: ``CovarianceSpec.dense`` checks ``M``, then the one dense HPD solve."""
     M = CovarianceSpec.dense(M).to_dense()
-    return _spd_solve(np.array(M, order="F"), b, "covariance")
+    return spd_solve(np.array(M, order="F"), b, "covariance")
 
 
 def random_spd(n, seed):

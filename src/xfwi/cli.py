@@ -130,11 +130,7 @@ def _check_equiv(sec):
         positive = {key: float(sec[key]) for key in ("sigma_m", "sigma_p")}
     except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
         raise ConfigError(f"equiv: {exc}") from exc
-    if sec["sigma_p_kind"] == "dense" and n > DENSE_SIGMA_P_MAX_N:
-        raise ConfigError(
-            f"equiv.sigma_p_kind 'dense' holds an n x n array; it needs "
-            f"equiv.n <= {DENSE_SIGMA_P_MAX_N}, got {n}"
-        )
+    _check_dense_size(sec, n)
     if instances < 1:
         raise ConfigError(f"equiv.instances must be at least 1, got {instances}")
     _check_positive("equiv", positive)
@@ -231,6 +227,19 @@ COVARIANCE_KINDS = ("scaled", "diagonal", "dense")
 DENSE_SIGMA_P_MAX_N = 200
 
 
+def _check_dense_size(settings, n):
+    """Refuse a dense ``sigma_p`` above ``DENSE_SIGMA_P_MAX_N`` with a ConfigError.
+
+    The config check and :func:`make_equiv_instances` both call it, so no
+    caller builds the ``n x n`` weight at a size the CLI refuses.
+    """
+    if settings["sigma_p_kind"] == "dense" and n > DENSE_SIGMA_P_MAX_N:
+        raise ConfigError(
+            f"equiv.sigma_p_kind 'dense' holds an n x n array; it needs "
+            f"equiv.n <= {DENSE_SIGMA_P_MAX_N}, got {n}"
+        )
+
+
 def random_covariance(kind, dim, scale, rng):
     """Random SPD weight of the requested kind at the requested scale."""
     if kind == "scaled":
@@ -244,9 +253,14 @@ def random_covariance(kind, dim, scale, rng):
 
 
 def make_equiv_instances(settings, seed):
-    """Yield (instance_id, problem, medium) tuples for the equivalence suite."""
+    """Yield (instance_id, problem, medium) tuples for the equivalence suite.
+
+    A dense ``sigma_p`` above ``DENSE_SIGMA_P_MAX_N`` raises ConfigError
+    before the first instance is built.
+    """
     rng = np.random.default_rng(seed)
     n = _integer(settings["n"], "n")
+    _check_dense_size(settings, n)
     model = HelmholtzModel1D(
         n=n,
         h=float(settings["h"]),

@@ -16,9 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, RejectedInputError, XfwiError
+from .errors import DegenerateWeightsError, IllConditionedError, RejectedInputError, XfwiError
 from .linops import _COND_LIMIT, _integer, _potrs, _spd_factor, check_condition, spd_condition
-from .wavemodel import Acquisition, Dataset, _normal_matrix, adjoint_F, forward_F
+from .wavemodel import (
+    Acquisition,
+    Dataset,
+    _normal_matrix,
+    _shift_gather,
+    _shift_stack,
+    adjoint_F,
+    forward_F,
+)
 
 REGIMES = ("conventional", "extended", "general")
 
@@ -116,6 +124,29 @@ def _regime_weights(cfg, regime, data_norm):
     raise RejectedInputError(f"unknown regime {regime!r}")
 
 
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _cg_steps(bound):
+    """Conjugate-gradient steps that reach relative energy-norm error ``u``.
+
+    For a symmetric positive definite matrix of condition number at most
+    ``bound`` the k-th iterate's error obeys ``||e_k||_A <= 2 rho^k ||e_0||_A``
+    with ``rho = (sqrt(bound) - 1) / (sqrt(bound) + 1)`` (the Chebyshev
+    bound); this is the least ``k >= 2`` with ``2 rho^k <= u``, ``u`` the unit
+    roundoff, as a float: 36 at ``bound = 4.3``, inf at ``bound = inf``. At
+    least 2, because the first step's updated residual carries rounding of
+    about ``u ||F^T r||``, as large as the tolerance, which the second step
+    removes: at ``bound = 1`` one step left 13 to 29 of 41 floored
+    conventional fits short of it.
+    """
+    s = np.sqrt(bound)
+    with np.errstate(divide="ignore"):  # bound = 1 and bound = inf
+        rate = np.log1p(2.0 / (s - 1.0))
+        return max(2.0, np.ceil(np.log(2.0 / _UNIT_ROUNDOFF) / rate))
+
+
 def _fit_extension(c, acq, r, sigma_p, sigma_m):
     """Weighted misfit of the residual ``r`` and the extension attaining it.
 
@@ -123,37 +154,104 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     ``min_f ||F f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` with ``F = F(c)``,
     an ``nt x nt`` problem rather than an ``(n_rec nt) x (n_rec nt)`` one. Its
     minimizer is ``f = -f_hat`` with
-    ``(F^T F + lam I) f_hat = F^T r``, ``lam = (sigma_m / sigma_p)^2``, solved
-    by dense Cholesky of the Toeplitz-structured ``F^T F``
-    (``wavemodel._normal_matrix``); F itself is only applied, never formed.
-    One corrected semi-normal equations step (Bjorck, BIT 27, 1987),
-    ``f_hat += (F^T F + lam I)^{-1} (F^T (r - F f_hat) - lam f_hat)`` from the
-    same factor, recovers the digits the normal equations lose in the floored
-    regimes. The objective is evaluated at the computed minimizer, where it
-    is stationary, so solve errors enter only to second order.
+    ``(F^T F + lam I) f_hat = F^T r``, ``lam = (sigma_m / sigma_p)^2``. F is
+    only applied, never formed. ``kappa = (sum_i r_i^-2 + lam) / lam`` bounds
+    the condition number of ``F^T F + lam I``, since receiver block ``i`` of
+    F crops a circulant whose symbol has modulus at most ``1 / r_i``, and the
+    bound picks the solver:
+
+    * Conjugate gradients (:func:`_cg_solve`) when the Chebyshev step count
+      ``k(kappa)`` of :func:`_cg_steps` is at most ``(nt / 64)^1.5``. Each step
+      applies F and ``F^T`` once, with the FFT kernels of ``forward_F`` and
+      ``adjoint_F``. The solve stops once the residual is at most
+      ``sqrt(kappa) u ||F^T r||`` and raises IllConditionedError if
+      ``k(kappa)`` steps do not get it there. Exact arithmetic rules that
+      out: the k-th residual is at most ``2 sqrt(kappa) rho^k ||F^T r||``.
+    * Otherwise dense Cholesky of the Toeplitz-structured ``F^T F``
+      (``wavemodel._normal_matrix``), with one corrected semi-normal
+      equations step (Bjorck, BIT 27, 1987),
+      ``f_hat += (F^T F + lam I)^{-1} (F^T (r - F f_hat) - lam f_hat)`` from
+      the same factor, which recovers the digits the normal equations lose
+      in the floored extended regime. A normal matrix whose checked
+      condition, ``min(kappa, cond_1 estimate)``, reaches the library limit
+      raises IllConditionedError; the estimate is taken only when ``kappa``
+      reaches it. The normal matrix is built here, symmetric bit for bit, so
+      it is factored in place without a Hermitian check.
+
+    The rule keeps ``k(kappa)`` steps cheaper than the Cholesky path. On one
+    core (1 OpenBLAS thread, 2-core Xeon VM) a step took 0.086, 0.13, 0.22
+    and 0.42 ms at nt = 256, 512, 1024 and 2048, and the Cholesky path 1.1,
+    3.7, 18 and 109 ms: it costs 13, 29, 74 and 260 steps, where the rule
+    allows 8, 22, 64 and 181. At the default offsets the general regime
+    (``sigma_m = sigma_p = 1``, ``kappa = 4.3``, ``k = 36``) takes CG from
+    nt = 698 on and the floored conventional one (``k = 2``) from nt = 102
+    on; the floored extended one (``kappa`` near 1e11) keeps Cholesky. The
+    objective is evaluated at the computed minimizer, where it is
+    stationary, so solve errors enter only to second order.
 
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
-    undefined and raises DegenerateWeightsError. A normal matrix whose
-    checked condition, ``min(bound, cond_1 estimate)`` (see below), reaches
-    the library limit raises IllConditionedError; the estimate is taken only
-    when the free bound reaches it. The normal matrix is built here,
-    symmetric bit for bit, so it is factored in place without a Hermitian
-    check.
+    undefined and raises DegenerateWeightsError.
     """
     if sigma_m == 0.0:
         raise DegenerateWeightsError("sigma_m is zero; the misfit is undefined")
     if sigma_p == 0.0:
         return float(r @ r) / sigma_m**2, np.zeros(acq.nt)
     lam = (sigma_m / sigma_p) ** 2
-    # The accuracy of the normal equations is set by cond_2(F^T F + lam I).
-    # Two upper bounds on it: ||F^T F|| <= sum_i r_i^-2, since receiver block
-    # i of F crops a circulant whose symbol has modulus at most 1 / r_i; and
-    # cond_1, which bounds cond_2 of a symmetric matrix and which LAPACK
-    # estimates from the factor in O(nt^2). The first alone would refuse
-    # well-conditioned F at tiny lam, the second alone overstates cond_2.
-    # The first is free, so the second is taken only when the first fails.
     bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
+    shape = (acq.n_receivers, acq.nt)
+    rhs = adjoint_F(c, acq, r.reshape(shape))
+    steps = _cg_steps(bound)
+    if steps <= (acq.nt / 64) ** 1.5:
+        f_hat = _cg_solve(c, acq, lam, rhs, int(steps), np.sqrt(bound) * _UNIT_ROUNDOFF)
+    else:
+        f_hat = _cholesky_solve(c, acq, r, lam, bound, rhs)
+    misfit = r - forward_F(c, acq, f_hat).values.ravel()
+    phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
+    return phi, -f_hat
+
+
+def _cg_solve(c, acq, lam, rhs, steps, rtol):
+    """``(F^T F + lam I)^{-1} rhs`` by at most ``steps`` conjugate-gradient steps.
+
+    Hestenes & Stiefel (1952), from zero. It returns the first iterate whose
+    recursively updated residual is at most ``rtol ||rhs||`` and raises
+    IllConditionedError when ``steps`` steps leave it above that.
+    """
+    x = np.zeros_like(rhs)
+    res = rhs.copy()
+    rr = rr_0 = float(res @ res)
+    stop = rtol**2 * rr_0
+    p = res.copy()
+    for _ in range(steps):
+        if rr <= stop:
+            return x
+        q = _shift_gather(c, acq, _shift_stack(c, acq, p)) + lam * p
+        alpha = rr / float(p @ q)
+        x += alpha * p
+        res -= alpha * q
+        rr, rr_old = float(res @ res), rr
+        p = res + (rr / rr_old) * p
+    if rr <= stop:
+        return x
+    raise IllConditionedError(
+        f"toy normal equations: conjugate gradients left the residual at "
+        f"{np.sqrt(rr / rr_0):.3e} of ||F^T r|| after {steps} steps, "
+        f"above {rtol:.3e}"
+    )
+
+
+def _cholesky_solve(c, acq, r, lam, bound, rhs):
+    """``(F^T F + lam I)^{-1} F^T r`` by Cholesky and one corrected step; see :func:`_fit_extension`.
+
+    ``rhs`` is ``F^T r``.
+    """
+    # The accuracy of the normal equations is set by cond_2(F^T F + lam I).
+    # Two upper bounds on it: the free bound, and cond_1, which bounds cond_2
+    # of a symmetric matrix and which LAPACK estimates from the factor in
+    # O(nt^2). The first alone would refuse well-conditioned F at tiny lam,
+    # the second alone overstates cond_2. The second is taken only when the
+    # first fails.
     normal = _normal_matrix(c, acq)  # fresh, Fortran-ordered, symmetric bit for bit
     normal[np.diag_indices_from(normal)] += lam
     # the 1-norm must be read before the factor overwrites the matrix
@@ -162,13 +260,11 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     if norm_1 is not None:
         check_condition(min(bound, spd_condition(factor, norm_1)), "toy normal matrix")
     shape = (acq.n_receivers, acq.nt)
-    f_hat = _potrs(factor, adjoint_F(c, acq, r.reshape(shape)))
+    f_hat = _potrs(factor, rhs)
     misfit = r - forward_F(c, acq, f_hat).values.ravel()
     correction = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
     f_hat += _potrs(factor, correction)
-    misfit = r - forward_F(c, acq, f_hat).values.ravel()
-    phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
-    return phi, -f_hat
+    return f_hat
 
 
 @dataclass
@@ -243,9 +339,10 @@ def scan_objective(cfg, regime):
     ``||r||^2 / sigma_m^2``; the extended regime (measurement floor) and the
     general regime (both configured weights) minimize the extended-source
     objective ``||F(c) f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` over the
-    extension ``f`` by an ``nt x nt`` Cholesky solve, which equals the
-    kernel-weighted misfit ``r^T (sigma_p^2 K + sigma_m^2 I)^{-1} r``. A point
-    that fails (for instance ``sigma_m = 0``) gets NaN and the exception's
+    extension ``f`` by an ``nt x nt`` solve (``_fit_extension``), which equals
+    the kernel-weighted misfit ``r^T (sigma_p^2 K + sigma_m^2 I)^{-1} r``. A
+    point that fails (for instance ``sigma_m = 0``, or a solve that cannot
+    meet its accuracy) gets NaN and the exception's
     class name as its ``status``, and the scan continues. Curves are
     normalized by their maximum so regimes of incomparable scale can be
     overlaid.

@@ -9,8 +9,10 @@ import pytest
 
 import xfwi
 from conftest import fd_gradient_per_medium
+from xfwi import cli
 from xfwi.cli import (
     DEFAULT_CONFIG,
+    ConfigError,
     _toy_config,
     gradient_problem,
     main,
@@ -262,6 +264,17 @@ class TestConfigHandling:
         assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 2
         assert "equiv.sigma_p_kind 'dense'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_make_equiv_instances_refuses_dense_sigma_p_above_200(self, monkeypatch):
+        # the bench oracle and the tests call make_equiv_instances without load_config
+        def refuse(kind, dim, scale, rng):
+            raise AssertionError("a weight was built")
+
+        monkeypatch.setattr(cli, "random_covariance", refuse)
+        settings = {**DEFAULT_CONFIG["equiv"], "n": 201, "instances": 1}
+        with pytest.raises(ConfigError, match="equiv.sigma_p_kind 'dense' holds an n x n "
+                           "array; it needs equiv.n <= 200, got 201"):
+            next(make_equiv_instances(settings, 1))
 
     def test_dense_sigma_m_above_200_runs(self, tmp_path):
         # sigma_m is n_rec x n_rec at any n

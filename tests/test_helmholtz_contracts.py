@@ -7,9 +7,15 @@ The contract is a correct number or a package error: a draw may raise an
 ``XfwiError``, but a value it returns must lie within its bound. Each draw
 also runs a stack of 2 to 5 perturbations of its medium through the reduced
 pass, whose blocks must be the media's own passes bit for bit.
+
+The module runs at one BLAS thread: its dense weights of order up to 399
+otherwise keep idle OpenBLAS threads spinning, for 3-4 times the CPU time.
 """
 
+import ctypes
+
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +23,40 @@ from conftest import joint_state
 from xfwi import HelmholtzModel1D, XfwiError, grad_phi, helmholtz_problem, verify_equivalence
 from xfwi.cli import COVARIANCE_KINDS, random_covariance
 from xfwi.formulations import _reduced
+
+
+def openblas_thread_controls():
+    """``(get, set)`` thread-count functions of each loaded OpenBLAS.
+
+    numpy and scipy each load their own library; both are found in the
+    process's memory map by file name, as ``bench/child.py`` finds them.
+    """
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_blas_thread():
+    controls = openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    yield
+    for (_, put), count in zip(controls, previous):
+        put(count)
 
 
 @st.composite

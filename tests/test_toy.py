@@ -341,8 +341,12 @@ def toy_guards(monkeypatch):
     return guards
 
 
-@pytest.mark.parametrize("overrides", [{}, {"nt": 1024, "f0": 15.0}], ids=["default", "readme"])
-def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides):
+@pytest.mark.parametrize(
+    "overrides, factored",
+    [({}, 6), ({"nt": 1024, "f0": 15.0}, 3)],
+    ids=["default", "readme"],
+)
+def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides, factored):
     # The free bound (sum_i r_i^-2 + lam) / lam does not depend on c, so two
     # points per regime stand for the full scans of both configs.
     cfg = ToyConfig(**overrides, scan=(1.6, 2.4, 2))
@@ -350,8 +354,12 @@ def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides
         assert scan_objective(cfg, regime).status == ["ok", "ok"]
         estimate_extended_source(cfg, 1.8, regime)
     assert toy_guards["estimates"] == 0
-    # the conventional scan has no extension and factors nothing
-    assert toy_guards["factored"] == [True] * 7
+    # The conventional scan has no extension, and the floored conventional
+    # extsrc fit takes conjugate gradients: neither factors. The floored
+    # extended fits (2 scan points and extsrc) factor at both sizes, the
+    # general ones only at nt = 512, where their step cap of 36 exceeds
+    # (512 / 64)^1.5.
+    assert toy_guards["factored"] == [True] * factored
 
 
 @pytest.mark.parametrize(
@@ -423,3 +431,94 @@ def test_scan_and_extsrc_match_qr_oracle(regime, cfg):
         expected = qr_oracle(F, r, sigma_p, sigma_m)
         attained = extended_objective(F, r, ext.extension, sigma_p, sigma_m)
         assert abs(attained - expected) <= 1e-8 * expected
+
+
+# ---------------------------------------------------------------------------
+# The conjugate-gradient path of _fit_extension.
+
+
+def normal_bound(cfg, sigma_p, sigma_m):
+    """``kappa = (sum_i r_i^-2 + lam) / lam``, the free condition bound of the fit."""
+    lam = (sigma_m / sigma_p) ** 2
+    return (np.sum(acquisition(cfg).distances() ** -2.0) + lam) / lam
+
+
+# sigma_m = 2 gives kappa = 1.8 and a step cap of 20, the README weights at
+# nt = 1024 kappa = 4.3 and a cap of 36: both at most (nt / 64)^1.5.
+CG_CONFIGS = {
+    "nt512": (ToyConfig(nt=512, sigma_m=2.0, scan=(1.6, 2.4, 2)), 20),
+    "nt1024": (ToyConfig(nt=1024, f0=15.0, scan=(1.6, 2.4, 2)), 36),
+}
+
+
+@pytest.mark.parametrize("name", CG_CONFIGS)
+def test_well_conditioned_general_fit_takes_conjugate_gradients(monkeypatch, name):
+    cfg, steps = CG_CONFIGS[name]
+    assert toy._cg_steps(normal_bound(cfg, cfg.sigma_p, cfg.sigma_m)) == steps
+    assert steps <= (cfg.nt / 64) ** 1.5
+
+    def refuse(*args):
+        raise AssertionError("the normal matrix was formed or factored")
+
+    monkeypatch.setattr(toy, "_normal_matrix", refuse)
+    monkeypatch.setattr(toy, "_spd_factor", refuse)
+    assert scan_objective(cfg, "general").status == ["ok", "ok"]
+    estimate_extended_source(cfg, 1.8, "general")
+
+
+def test_step_cap_follows_the_chebyshev_bound():
+    # the least k >= 2 with 2 rho^k <= u, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
+    for bound in (1.8, 4.3, 47.0):
+        k = toy._cg_steps(bound)
+        rho = (np.sqrt(bound) - 1.0) / (np.sqrt(bound) + 1.0)
+        assert 2.0 * rho**k <= 2.0**-53 < 2.0 * rho ** (k - 1)
+    for bound in (1.0, 1.0 + 1e-15, 1.0 + 1e-11):
+        assert toy._cg_steps(bound) == 2.0
+    assert toy._cg_steps(np.inf) == np.inf
+
+
+def test_floored_conventional_fits_converge_at_a_bound_of_one():
+    # floor = 1e-10 makes lam ~ 1e18 and the computed bound exactly 1; a
+    # single step, which is all exact arithmetic needs, left 13 to 29 of 41
+    # velocities short of the tolerance by its own rounding
+    cfg = ToyConfig(nt=128, floor=1e-10)
+    sigma_p, sigma_m = extsrc_weights(cfg, "conventional")
+    assert normal_bound(cfg, sigma_p, sigma_m) == 1.0
+    acq = acquisition(cfg)
+    for c in np.linspace(1.5, 2.5, 41):
+        ext = estimate_extended_source(cfg, c, "conventional")
+        if c in (1.5, 2.5):
+            F = forward_columns(c, acq)
+            r = residual(cfg, c)
+            expected = qr_oracle(F, r, sigma_p, sigma_m)
+            attained = extended_objective(F, r, ext.extension, sigma_p, sigma_m)
+            assert abs(attained - expected) <= 1e-13 * expected, c
+
+
+@pytest.mark.parametrize("name", CG_CONFIGS)
+def test_conjugate_gradients_match_cholesky_and_qr_oracle(monkeypatch, name):
+    # Measured with sigma_m = sigma_p = 1 over 21 velocities in [1.5, 2.5],
+    # CG forced at nt = 512: phi within 3.3e-16 of the Cholesky path, f 6.5e-16.
+    cfg, _ = CG_CONFIGS[name]
+    acq = acquisition(cfg)
+    sigma_p, sigma_m = cfg.sigma_p, cfg.sigma_m
+    for c in (1.6, 2.2):
+        r = residual(cfg, c)
+        phi, f = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
+        with monkeypatch.context() as m:
+            m.setattr(toy, "_cg_steps", lambda bound: np.inf)  # forces Cholesky
+            phi_chol, f_chol = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
+        assert abs(phi - phi_chol) <= 4e-15 * phi_chol, c
+        assert np.linalg.norm(f - f_chol) <= 1e-14 * np.linalg.norm(f_chol), c
+        expected = qr_oracle(forward_columns(c, acq), r, sigma_p, sigma_m)
+        assert abs(phi - expected) <= 1e-13 * expected, c
+
+
+def test_conjugate_gradients_short_of_the_tolerance_raise(monkeypatch):
+    cfg, _ = CG_CONFIGS["nt1024"]
+    monkeypatch.setattr(toy, "_cg_steps", lambda bound: 1.0)
+    scan = scan_objective(cfg, "general")
+    assert scan.status == ["IllConditionedError"] * 2
+    assert np.all(np.isnan(scan.phi_raw))
+    with pytest.raises(IllConditionedError, match="conjugate gradients"):
+        estimate_extended_source(cfg, 1.8, "general")

@@ -38,31 +38,99 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG = {
-    "toy": asdict(ToyConfig()),
-    "equiv": {
-        "instances": 20,
-        "n": 20,
-        "h": 0.05,
-        "omega": 30.0,
-        "boundary": "sommerfeld",
-        "receivers": [3, 9, 15],
-        "sigma_m": 1.0,
-        "sigma_p": 1.0,
-        "sigma_m_kind": "dense",
-        "sigma_p_kind": "dense",
-        "m_min": 0.2,
-        "m_max": 0.4,
-        "data": "random",
-    },
-    "grad": {
-        "n": 20,
-        "omega": 6.0,
-        "boundary": "sommerfeld",
-        "sigma_m_rel": 0.1,
-        "data": "perturbed",
-    },
-}
+COVARIANCE_KINDS = ("scaled", "diagonal", "dense")
+# A dense sigma_p is the one n x n array the suite builds: 160 GB at n = 1e5.
+DENSE_SIGMA_P_MAX_N = 200
+
+
+@dataclass(frozen=True)
+class EquivConfig:
+    """The equiv section: random dense-Helmholtz instances for ``equiv-check``.
+
+    The field defaults are the config defaults. Each value is coerced and
+    checked here, so :func:`load_config` and :func:`make_equiv_instances`
+    refuse the same sections.
+    """
+
+    instances: int = 20
+    n: int = 20
+    h: float = 0.05
+    omega: float = 30.0
+    boundary: str = "sommerfeld"
+    receivers: tuple = (3, 9, 15)
+    sigma_m: float = 1.0
+    sigma_p: float = 1.0
+    sigma_m_kind: str = "dense"
+    sigma_p_kind: str = "dense"
+    m_min: float = 0.2
+    m_max: float = 0.4
+    data: str = "random"
+
+    def __post_init__(self):
+        # coerced here, so a JSON config section can be passed as it is
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        for key in ("h", "omega", "m_min", "m_max", "sigma_m", "sigma_p"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        self.model()  # checks n, h, omega and boundary
+        receivers = SamplingOperator(self.receivers, self.n).receiver_indices
+        object.__setattr__(self, "receivers", tuple(receivers.tolist()))
+        object.__setattr__(self, "instances", _integer(self.instances, "instances"))
+        if self.sigma_p_kind == "dense" and self.n > DENSE_SIGMA_P_MAX_N:
+            raise ConfigError(
+                f"equiv.sigma_p_kind 'dense' holds an n x n array; it needs "
+                f"equiv.n <= {DENSE_SIGMA_P_MAX_N}, got {self.n}"
+            )
+        if self.instances < 1:
+            raise ConfigError(f"equiv.instances must be at least 1, got {self.instances}")
+        for key in ("sigma_m", "sigma_p"):
+            value = getattr(self, key)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"equiv.{key} must be positive and finite, got {value}")
+        if not 0 < self.m_min <= self.m_max < np.inf:
+            raise ConfigError(
+                f"equiv: need 0 < m_min <= m_max < inf, got {self.m_min}, {self.m_max}"
+            )
+        choices = {"sigma_m_kind": COVARIANCE_KINDS, "sigma_p_kind": COVARIANCE_KINDS,
+                   "data": ("random", "consistent")}
+        for key, allowed in choices.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"equiv.{key} must be one of {allowed}, got {value!r}")
+
+    def model(self):
+        return HelmholtzModel1D(n=self.n, h=self.h, omega=self.omega, boundary=self.boundary)
+
+
+@dataclass(frozen=True)
+class GradConfig:
+    """The grad section, at ``h = 1 / n``; defaults and checks as for :class:`EquivConfig`."""
+
+    n: int = 20
+    omega: float = 6.0
+    boundary: str = "sommerfeld"
+    sigma_m_rel: float = 0.1
+    data: str = "perturbed"
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "omega", float(self.omega))
+        self.model()  # checks n, omega and boundary
+        object.__setattr__(self, "sigma_m_rel", float(self.sigma_m_rel))
+        if not 0 < self.sigma_m_rel < np.inf:
+            raise ConfigError(
+                f"grad.sigma_m_rel must be positive and finite, got {self.sigma_m_rel}"
+            )
+        if self.data not in ("perturbed", "consistent"):
+            raise ConfigError(
+                f"grad.data must be one of ('perturbed', 'consistent'), got {self.data!r}"
+            )
+
+    def model(self):
+        return HelmholtzModel1D(n=self.n, h=1.0 / self.n, omega=self.omega, boundary=self.boundary)
+
+
+_SECTIONS = {"toy": ToyConfig, "equiv": EquivConfig, "grad": GradConfig}
+DEFAULT_CONFIG = {name: asdict(section()) for name, section in _SECTIONS.items()}
 
 
 def load_config(path):
@@ -92,9 +160,8 @@ def load_config(path):
             if key not in merged[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
             merged[section][key] = val
-    _toy_config(merged)
-    _check_equiv(merged["equiv"])
-    _check_grad(merged["grad"])
+    for section in _SECTIONS:
+        _config_section(merged, section)
     return merged, _digest_bytes(raw)
 
 
@@ -106,61 +173,14 @@ def _digest_bytes(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _check_choice(section, sec, key, allowed):
-    if sec[key] not in allowed:
-        raise ConfigError(f"{section}.{key} must be one of {allowed}, got {sec[key]!r}")
-
-
-def _check_positive(section, values):
-    for key, value in values.items():
-        if not (value > 0 and np.isfinite(value)):
-            raise ConfigError(f"{section}.{key} must be positive and finite, got {value}")
-
-
-def _check_equiv(sec):
-    """Reject an equiv section the suite cannot run, before any output."""
+def _config_section(cfg, name):
+    """Section ``name`` of ``cfg`` as its checked type; a value it rejects is a ConfigError."""
     try:
-        n = _integer(sec["n"], "n")
-        HelmholtzModel1D(
-            n=n, h=float(sec["h"]), omega=float(sec["omega"]), boundary=sec["boundary"]
-        )
-        SamplingOperator(sec["receivers"], n)
-        instances = _integer(sec["instances"], "instances")
-        m_min, m_max = float(sec["m_min"]), float(sec["m_max"])
-        positive = {key: float(sec[key]) for key in ("sigma_m", "sigma_p")}
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
-        raise ConfigError(f"equiv: {exc}") from exc
-    _check_dense_size(sec, n)
-    if instances < 1:
-        raise ConfigError(f"equiv.instances must be at least 1, got {instances}")
-    _check_positive("equiv", positive)
-    if not 0 < m_min <= m_max:
-        raise ConfigError(f"equiv: need 0 < m_min <= m_max, got {m_min}, {m_max}")
-    for key in ("sigma_m_kind", "sigma_p_kind"):
-        _check_choice("equiv", sec, key, COVARIANCE_KINDS)
-    _check_choice("equiv", sec, "data", ("random", "consistent"))
-
-
-def _check_grad(sec):
-    """Reject a grad section the check cannot run, before any output."""
-    try:
-        n = _integer(sec["n"], "n")
-        HelmholtzModel1D(
-            n=n, h=1.0 / n, omega=float(sec["omega"]), boundary=sec["boundary"]
-        )
-        positive = {"sigma_m_rel": float(sec["sigma_m_rel"])}
-    except (TypeError, ValueError, ArithmeticError) as exc:  # n = 0, or a huge n
-        raise ConfigError(f"grad: {exc}") from exc
-    _check_positive("grad", positive)
-    _check_choice("grad", sec, "data", ("perturbed", "consistent"))
-
-
-def _toy_config(cfg):
-    """The toy section as a ToyConfig; a value it rejects is a config error."""
-    try:
-        return ToyConfig(**cfg["toy"])
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge integer
-        raise ConfigError(f"toy: {exc}") from exc
+        return _SECTIONS[name](**cfg[name])
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:  # float(10**400), 1 / n at n = 0
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 @dataclass
@@ -222,24 +242,6 @@ def write_csv(path, header, columns):
 # instance builders (shared with the test suite)
 
 
-COVARIANCE_KINDS = ("scaled", "diagonal", "dense")
-# A dense sigma_p is the one n x n array the suite builds: 160 GB at n = 1e5.
-DENSE_SIGMA_P_MAX_N = 200
-
-
-def _check_dense_size(settings, n):
-    """Refuse a dense ``sigma_p`` above ``DENSE_SIGMA_P_MAX_N`` with a ConfigError.
-
-    The config check and :func:`make_equiv_instances` both call it, so no
-    caller builds the ``n x n`` weight at a size the CLI refuses.
-    """
-    if settings["sigma_p_kind"] == "dense" and n > DENSE_SIGMA_P_MAX_N:
-        raise ConfigError(
-            f"equiv.sigma_p_kind 'dense' holds an n x n array; it needs "
-            f"equiv.n <= {DENSE_SIGMA_P_MAX_N}, got {n}"
-        )
-
-
 def random_covariance(kind, dim, scale, rng):
     """Random SPD weight of the requested kind at the requested scale."""
     if kind == "scaled":
@@ -255,51 +257,41 @@ def random_covariance(kind, dim, scale, rng):
 def make_equiv_instances(settings, seed):
     """Yield (instance_id, problem, medium) tuples for the equivalence suite.
 
-    A dense ``sigma_p`` above ``DENSE_SIGMA_P_MAX_N`` raises ConfigError
+    ``settings`` is an equiv section, checked as an :class:`EquivConfig`
     before the first instance is built.
     """
+    cfg = EquivConfig(**settings)
     rng = np.random.default_rng(seed)
-    n = _integer(settings["n"], "n")
-    _check_dense_size(settings, n)
-    model = HelmholtzModel1D(
-        n=n,
-        h=float(settings["h"]),
-        omega=float(settings["omega"]),
-        boundary=settings["boundary"],
-    )
-    receivers = [_integer(i, "a receiver") for i in settings["receivers"]]
-    for instance_id in range(_integer(settings["instances"], "instances")):
-        m = rng.uniform(settings["m_min"], settings["m_max"], size=n)
-        q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if settings["data"] == "consistent":
+    model = cfg.model()
+    receivers = list(cfg.receivers)
+    for instance_id in range(cfg.instances):
+        m = rng.uniform(cfg.m_min, cfg.m_max, size=cfg.n)
+        q = rng.standard_normal(cfg.n) + 1j * rng.standard_normal(cfg.n)
+        if cfg.data == "consistent":
             d = assemble_A(model, m).solve(q)[receivers]
         else:
             d = rng.standard_normal(len(receivers)) + 1j * rng.standard_normal(
                 len(receivers)
             )
-        sigma_m = random_covariance(
-            settings["sigma_m_kind"], len(receivers), float(settings["sigma_m"]), rng
-        )
-        sigma_p = random_covariance(
-            settings["sigma_p_kind"], n, float(settings["sigma_p"]), rng
-        )
+        sigma_m = random_covariance(cfg.sigma_m_kind, len(receivers), cfg.sigma_m, rng)
+        sigma_p = random_covariance(cfg.sigma_p_kind, cfg.n, cfg.sigma_p, rng)
         yield instance_id, helmholtz_problem(model, receivers, q, d, sigma_m, sigma_p), m
 
 
 def gradient_problem(settings, seed, n=None):
     """A smooth, well-scaled instance for gradient verification.
 
-    Data are synthesized from a smooth true medium and the objective is
-    evaluated at a smoothly perturbed one, so every component of the
-    gradient is driven well above the finite-difference noise floor. With
-    ``data = "consistent"`` the evaluation point is the true medium and the
-    gradient vanishes.
+    ``settings`` is a grad section, checked as a :class:`GradConfig`, with
+    ``n`` in place of its own when given. Data are synthesized from a smooth
+    true medium and the objective is evaluated at a smoothly perturbed one,
+    so every component of the gradient is driven well above the
+    finite-difference noise floor. With ``data = "consistent"`` the
+    evaluation point is the true medium and the gradient vanishes.
     """
+    cfg = GradConfig(**(settings if n is None else {**settings, "n": n}))
     rng = np.random.default_rng(seed)
-    n = _integer(settings["n"] if n is None else n, "n")
-    model = HelmholtzModel1D(
-        n=n, h=1.0 / n, omega=float(settings["omega"]), boundary=settings["boundary"]
-    )
+    n = cfg.n
+    model = cfg.model()
     receivers = [n // 6, n // 2, (5 * n) // 6]
     x = np.linspace(0.0, 1.0, n)
     bump = np.exp(-((x - 0.5) ** 2) / 0.1)
@@ -309,11 +301,11 @@ def gradient_problem(settings, seed, n=None):
     ) + 0j
     d = assemble_A(model, m_true).solve(q)[receivers]
     sigma_m = CovarianceSpec.scaled_identity(
-        (float(settings["sigma_m_rel"]) * np.linalg.norm(d)) ** 2, len(receivers)
+        (cfg.sigma_m_rel * np.linalg.norm(d)) ** 2, len(receivers)
     )
     sigma_p = CovarianceSpec.scaled_identity(1.0, n)
     prob = helmholtz_problem(model, receivers, q, d, sigma_m, sigma_p)
-    if settings["data"] == "consistent":
+    if cfg.data == "consistent":
         return prob, m_true
     m_eval = m_true * (1.0 + 0.04 * np.cos(3 * np.pi * x))
     return prob, m_eval
@@ -360,7 +352,7 @@ def cmd_grad_check(args, cfg, out, manifest):
 
 
 def cmd_kernel(args, cfg, out, manifest):
-    toy_cfg = _toy_config(cfg)
+    toy_cfg = _config_section(cfg, "toy")
     acq = acquisition(toy_cfg)
     panels = kernel_k(toy_cfg.c_true, acq)
     nrec = acq.n_receivers
@@ -389,7 +381,7 @@ def cmd_kernel(args, cfg, out, manifest):
 
 
 def cmd_scan(args, cfg, out, manifest):
-    toy_cfg = _toy_config(cfg)
+    toy_cfg = _config_section(cfg, "toy")
     conv = scan_objective(toy_cfg, "conventional")
     ext = scan_objective(toy_cfg, "extended")
     status = [
@@ -434,7 +426,7 @@ def cmd_scan(args, cfg, out, manifest):
 
 
 def cmd_extsrc(args, cfg, out, manifest):
-    toy_cfg = _toy_config(cfg)
+    toy_cfg = _config_section(cfg, "toy")
     times = np.arange(toy_cfg.nt) * toy_cfg.dt
     q = make_wavelet(toy_cfg)
     velocities = args.c if args.c else [1.8, 2.2]

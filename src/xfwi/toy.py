@@ -70,6 +70,8 @@ class ToyConfig:
             raise RejectedInputError("need nt >= 2 and dt > 0")
         if self.wavelet not in ("ricker", "spike"):
             raise RejectedInputError(f"unknown wavelet {self.wavelet!r}")
+        if self.wavelet == "spike" and not 0 <= round(self.t0 / self.dt) < self.nt:
+            raise RejectedInputError(f"spike time {self.t0} falls outside the record")
         if self.wavelet == "ricker" and not self.f0 < 0.25 / self.dt:
             # Nyquist is 1/(2 dt); keep the peak frequency below half of it.
             raise RejectedInputError(
@@ -100,10 +102,7 @@ def make_wavelet(cfg):
     t = np.arange(cfg.nt) * cfg.dt
     if cfg.wavelet == "spike":
         q = np.zeros(cfg.nt)
-        k = int(round(cfg.t0 / cfg.dt))
-        if not 0 <= k < cfg.nt:
-            raise RejectedInputError(f"spike time {cfg.t0} falls outside the record")
-        q[k] = 1.0
+        q[round(cfg.t0 / cfg.dt)] = 1.0  # ToyConfig keeps the spike in the record
         return q
     arg = (np.pi * cfg.f0 * (t - cfg.t0)) ** 2
     return (1.0 - 2.0 * arg) * np.exp(-arg)
@@ -191,14 +190,21 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
 
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
-    undefined and raises DegenerateWeightsError.
+    undefined and raises DegenerateWeightsError, as does a ``lam`` that
+    underflows to 0 or overflows, or leaves ``kappa`` infinite.
     """
     if sigma_m == 0.0:
         raise DegenerateWeightsError("sigma_m is zero; the misfit is undefined")
     if sigma_p == 0.0:
         return float(r @ r) / sigma_m**2, np.zeros(acq.nt)
-    lam = (sigma_m / sigma_p) ** 2
-    bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
+    with np.errstate(all="ignore"):  # a lam out of range is refused below
+        lam = np.float64(sigma_m / sigma_p) ** 2
+        bound = (np.sum(acq.distances() ** -2.0) + lam) / lam
+    if not np.isfinite(bound):  # lam is 0, inf or NaN, or so small that kappa overflows
+        raise DegenerateWeightsError(
+            f"sigma_m = {sigma_m!r} and sigma_p = {sigma_p!r} give lam = "
+            f"(sigma_m / sigma_p)^2 = {float(lam)!r}, out of range for the normal equations"
+        )
     shape = (acq.n_receivers, acq.nt)
     rhs = adjoint_F(c, acq, r.reshape(shape))
     steps = _cg_steps(bound)

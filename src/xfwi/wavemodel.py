@@ -13,7 +13,7 @@ without ad-hoc kernels. Traces are windowed back to the original record
 length; the 2x padding keeps the convolution linear rather than circular.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -107,13 +107,15 @@ class Acquisition:
     Positions are in km; the analytic propagator only uses the Euclidean
     source-receiver distances. They are kept as read-only copies, so the
     geometry checks made on construction hold for the object's lifetime;
-    ``nt`` is stored as an int (see :func:`~xfwi.linops._integer`).
+    ``nt`` is stored as an int (see :func:`~xfwi.linops._integer`). The
+    source-receiver distances are computed once, on construction.
     """
 
     source_position: np.ndarray
     receiver_positions: np.ndarray
     nt: int
     dt: float
+    _distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         src = _read_only(np.atleast_1d(np.array(self.source_position, dtype=float)))
@@ -131,7 +133,9 @@ class Acquisition:
             for j in range(i + 1, len(rec)):
                 if np.allclose(rec[i], rec[j]):
                     raise RejectedInputError(f"receivers {i} and {j} coincide")
-        if np.any(self.distances() <= 0):
+        dists = _read_only(np.linalg.norm(rec - src, axis=1))
+        object.__setattr__(self, "_distances", dists)
+        if np.any(dists <= 0):
             raise SingularGeometryError("a receiver coincides with the source")
 
     @property
@@ -139,7 +143,8 @@ class Acquisition:
         return len(self.receiver_positions)
 
     def distances(self):
-        return np.linalg.norm(self.receiver_positions - self.source_position, axis=1)
+        """Source-receiver distances, as a read-only array."""
+        return self._distances
 
 
 @dataclass(frozen=True)
@@ -276,16 +281,17 @@ def _phase_factors(c, acq):
 
     Returns ``(table, N)`` with N the padded length. One scan point or extsrc
     velocity applies F and its adjoint several times, so the table is cached
-    per (velocity, distances, nt, dt) and handed out read-only.
+    per (velocity, distances, nt, dt), the distances keyed by their bytes,
+    and handed out read-only.
     """
-    return _phase_table(float(c), tuple(acq.distances()), acq.nt, acq.dt)
+    return _phase_table(float(c), acq.distances().tobytes(), acq.nt, acq.dt)
 
 
 @lru_cache(maxsize=8)
 def _phase_table(c, distances, nt, dt):
     N = _pad_length(nt)
     omega = 2.0 * np.pi * np.fft.fftfreq(N, dt)
-    r = np.array(distances)
+    r = np.frombuffer(distances)
     table = np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None]
     table.flags.writeable = False
     return table, N

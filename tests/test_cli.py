@@ -13,7 +13,7 @@ from xfwi import cli
 from xfwi.cli import (
     DEFAULT_CONFIG,
     ConfigError,
-    _toy_config,
+    _config_section,
     gradient_problem,
     main,
     make_equiv_instances,
@@ -36,6 +36,23 @@ SMALL_TOY = {
 SMALL_EQUIV = {"equiv": {"instances": 5, "n": 10, "receivers": [2, 5, 8]}}
 
 DEFAULT_DIGEST = "403a85a54528d8506d838f0e967f37ad7d0342b481ec3861cbf13338a30c66ab"
+
+# cli.DEFAULT_CONFIG as JSON: each section's values, and 20 against 20.0
+DEFAULT_JSON = {
+    "toy": '{"c_true": 2.0, "dt": 0.004, "f0": 10.0, "floor": 1e-06, "nt": 512, '
+           '"receiver_distances": [0.8, 1.0, 1.2], "scan": [1.5, 2.5, 101], "sigma_m": 1.0, '
+           '"sigma_p": 1.0, "t0": 0.15, "wavelet": "ricker"}',
+    "equiv": '{"boundary": "sommerfeld", "data": "random", "h": 0.05, "instances": 20, '
+             '"m_max": 0.4, "m_min": 0.2, "n": 20, "omega": 30.0, "receivers": [3, 9, 15], '
+             '"sigma_m": 1.0, "sigma_m_kind": "dense", "sigma_p": 1.0, "sigma_p_kind": "dense"}',
+    "grad": '{"boundary": "sommerfeld", "data": "perturbed", "n": 20, "omega": 6.0, '
+            '"sigma_m_rel": 0.1}',
+}
+
+# A toy config whose weight ratio lam = (sigma_m / sigma_p)^2 leaves the float
+# range: it underflows to 0 in the extended regime and overflows in extsrc's
+# conventional one.
+FLOOR_1E300 = {"toy": {"floor": 1e-300, "nt": 128, "scan": [1.6, 2.4, 2]}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -118,6 +135,8 @@ class TestConfigHandling:
             ("equiv-check", {"equiv": {"n": float("inf")}}),
             ("grad-check", {"grad": {"n": float("inf")}}),
             ("equiv-check", {"toy": {"nt": 1}}),
+            ("scan", {"toy": {"wavelet": "spike", "t0": 5.0}}),
+            ("equiv-check", {"equiv": {"m_max": float("inf")}}),
         ],
         ids=[
             "toy-nt-1",
@@ -141,6 +160,8 @@ class TestConfigHandling:
             "equiv-n-inf",
             "grad-n-inf",
             "equiv-check-toy-nt-1",
+            "toy-spike-outside-record",
+            "equiv-m_max-inf",
         ],
     )
     def test_rejected_config_value(self, tmp_path, capsys, command, payload):
@@ -275,6 +296,50 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="equiv.sigma_p_kind 'dense' holds an n x n "
                            "array; it needs equiv.n <= 200, got 201"):
             next(make_equiv_instances(settings, 1))
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("equiv", {"sigma_m": -1.0}),  # would run as +1.0: the weight squares its scale
+            ("equiv", {"data": "bogus"}),  # would run as "random"
+            ("equiv", {"m_min": -0.1}),  # a medium that fails only when solved
+            ("equiv", {"m_max": float("inf")}),  # an OverflowError drawing the medium
+            ("grad", {"sigma_m_rel": -0.1}),  # would run as +0.1
+            ("grad", {"data": "typo"}),  # would run as "perturbed"
+        ],
+        ids=["equiv-sigma_m-negative", "equiv-data-bogus", "equiv-m_min-negative",
+             "equiv-m_max-inf", "grad-sigma_m_rel-negative", "grad-data-typo"],
+    )
+    def test_builders_refuse_what_load_config_refuses(self, tmp_path, capsys, monkeypatch,
+                                                      section, values):
+        # the bench oracle and the tests call the builders without load_config
+        cfg = write_config(tmp_path, {section: values})
+        out = tmp_path / "o"
+        command = {"equiv": "equiv-check", "grad": "grad-check"}[section]
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(cli, "helmholtz_problem", refuse)
+        monkeypatch.setattr(cli, "assemble_A", refuse)
+        settings = {**DEFAULT_CONFIG[section], **values}
+        with pytest.raises(ConfigError):
+            if section == "equiv":
+                next(make_equiv_instances(settings, 1))
+            else:
+                gradient_problem(settings, 1)
+
+    def test_default_config_is_pinned(self):
+        # the defaults are the section types' field defaults; a drifted one
+        # changes the JSON here and the digest of every default run
+        assert {name: json.dumps(section, sort_keys=True)
+                for name, section in DEFAULT_CONFIG.items()} == DEFAULT_JSON
+        cfg, digest = cli.load_config(None)
+        assert cfg == json.loads(json.dumps(DEFAULT_CONFIG))
+        assert digest == DEFAULT_DIGEST
 
     def test_dense_sigma_m_above_200_runs(self, tmp_path):
         # sigma_m is n_rec x n_rec at any n
@@ -465,6 +530,16 @@ class TestScanCommand:
         assert all(r[5] == "DegenerateWeightsError/ok" for r in rows)
         assert all(r[3] == "nan" for r in rows)
 
+    def test_weight_ratio_out_of_range_fails_its_points(self, tmp_path):
+        # lam underflows to 0 in the extended regime; unchecked, it divides by
+        # zero and leaves a singular normal matrix at every point
+        cfg = write_config(tmp_path, FLOOR_1E300)
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 1
+        _, rows = read_csv(out / "scan.csv")
+        assert [r[5] for r in rows] == ["ok/DegenerateWeightsError"] * 2
+        assert all(r[4] == "nan" for r in rows)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TOY)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -522,6 +597,16 @@ class TestExtsrcCommand:
         assert main(
             ["extsrc", "--config", cfg, "--out", str(out), "--regime", "general"]
         ) == 1
+
+    def test_weight_ratio_out_of_range_is_a_check_failure(self, tmp_path, capsys):
+        # lam overflows in the conventional regime; unchecked, squaring the
+        # ratio raises a bare OverflowError
+        cfg = write_config(tmp_path, FLOOR_1E300)
+        out = tmp_path / "out"
+        argv = ["extsrc", "--config", cfg, "--out", str(out), "--regime", "conventional"]
+        assert main(argv) == 1
+        assert "check failed: sigma_m = 1.0 and sigma_p = " in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
 
     def test_conventional_regime_flag(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TOY)
@@ -591,7 +676,7 @@ class TestWriteCsv:
         cfg = write_config(tmp_path, {"toy": toy})
         out = tmp_path / "out"
         assert main(["extsrc", "--config", cfg, "--out", str(out), "--c", "1.8"]) == 0
-        toy_cfg = _toy_config({"toy": {**DEFAULT_CONFIG["toy"], **toy}})
+        toy_cfg = _config_section({"toy": {**DEFAULT_CONFIG["toy"], **toy}}, "toy")
         res = estimate_extended_source(toy_cfg, 1.8)
         times = np.arange(toy_cfg.nt) * toy_cfg.dt
         rows = [

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DenseOperator,
@@ -938,6 +940,30 @@ class TestStackedFiniteDifferences:
         prob, m = grad_default_problem(20)
         monkeypatch.setattr(formulations, "_FD_GROUP_ENTRIES", per_group * 20 * 4)
         assert fd_gradient(prob, m).tobytes() == fd_gradient_per_medium(prob, m).tobytes()
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_group_sizes_give_the_same_bits(self, data):
+        n = data.draw(st.integers(5, 40), label="n")
+        receivers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4,
+                                       unique=True), label="receivers")
+        prob, m = make_helmholtz_instance(
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"), n=n, h=1.0 / n,
+            omega=6.0, boundary=data.draw(st.sampled_from(["dirichlet", "sommerfeld"])),
+            receivers=receivers, cov_kind=data.draw(st.sampled_from(COVARIANCE_KINDS)),
+        )
+        # group size = _FD_GROUP_ENTRIES // entries per medium, from 1 to all 4 n media
+        per_medium = n * (len(receivers) + 1)
+        entries = (data.draw(st.integers(1, 4 * n), label="media per group") * per_medium
+                   + data.draw(st.integers(0, per_medium - 1), label="spare entries"))
+        expected = fd_gradient_per_medium(prob, m).tobytes()
+        # patched here, not by monkeypatch: Hypothesis refuses function-scoped fixtures
+        saved = formulations._FD_GROUP_ENTRIES
+        formulations._FD_GROUP_ENTRIES = entries
+        try:
+            assert fd_gradient(prob, m).tobytes() == expected
+        finally:
+            formulations._FD_GROUP_ENTRIES = saved
 
     @pytest.mark.parametrize("cov_kind", ["scaled", "diagonal", "dense"])
     def test_each_block_of_a_stack_is_its_own_pass(self, cov_kind):

@@ -6,13 +6,15 @@ rows, any covariance kind for each weight, and m = 0.25 (1 + 0.2 U(-1, 1)).
 The contract is a correct number or a package error: a draw may raise an
 ``XfwiError``, but a value it returns must lie within its bound. Each draw
 also runs a stack of 2 to 5 perturbations of its medium through the reduced
-pass, whose blocks must be the media's own passes bit for bit.
+pass, whose blocks must be the media's own passes bit for bit, and checks
+``phi_reduced`` after ``grad_phi`` bit for bit against a fresh ``Problem``.
 
 The module runs at one BLAS thread: its dense weights of order up to 399
 otherwise keep idle OpenBLAS threads spinning, for 3-4 times the CPU time.
 """
 
 import ctypes
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +22,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import joint_state
-from xfwi import HelmholtzModel1D, XfwiError, grad_phi, helmholtz_problem, verify_equivalence
+from xfwi import (
+    HelmholtzModel1D,
+    XfwiError,
+    grad_phi,
+    helmholtz_problem,
+    phi_reduced,
+    verify_equivalence,
+)
 from xfwi.cli import COVARIANCE_KINDS, random_covariance
 from xfwi.formulations import _reduced
 
@@ -108,10 +117,14 @@ def test_reduced_side_matches_the_joint_side(draw):
     try:
         rel_gap = verify_equivalence(prob, m).rel_gap
         g = grad_phi(prob, m)
+        kept = phi_reduced(prob, m)  # from the pass that grad_phi reused
         lam, _, u = joint_state(prob, m)
     except XfwiError as exc:
         event(f"raised {type(exc).__name__}")
         return
+    fresh = phi_reduced(dataclasses.replace(prob), m)  # a Problem that keeps nothing
+    assert [kept.value.hex(), kept.residual.tobytes(), kept.weighted_residual.tobytes()] == [
+        fresh.value.hex(), fresh.residual.tobytes(), fresh.weighted_residual.tobytes()]
     assert rel_gap <= 1e-9
     # the joint objective is stationary in u, so its gradient is the envelope
     # -2 Re <lam, (dA/dm_k) u> at the joint optimum

@@ -41,6 +41,17 @@ class TestWavelet:
         expected[10] = 1.0
         assert np.array_equal(q, expected)
 
+    @pytest.mark.parametrize("t0, ok", [(0.0, True), (0.63, True), (0.64, False),
+                                         (-0.01, False), (5.0, False)])
+    def test_spike_outside_the_record_is_rejected(self, t0, ok):
+        # the config owns the check, so no command starts on a spike it cannot place
+        if not ok:
+            with pytest.raises(RejectedInputError, match="falls outside the record"):
+                ToyConfig(wavelet="spike", t0=t0, nt=64, dt=0.01)
+            return
+        q = make_wavelet(ToyConfig(wavelet="spike", t0=t0, nt=64, dt=0.01))
+        assert q[round(t0 / 0.01)] == 1.0 and q.sum() == 1.0
+
     def test_aliasing_rejected(self):
         with pytest.raises(RejectedInputError):
             ToyConfig(f0=80.0, dt=0.004)
@@ -292,6 +303,21 @@ def test_normal_matrix_past_double_precision_is_flagged():
     with pytest.raises(IllConditionedError) as info:
         estimate_extended_source(cfg, 1.7, regime="extended")
     assert info.value.condition > 1e16
+
+
+@pytest.mark.parametrize(
+    "sigma_p, sigma_m, lam",
+    [(1.0, 1e-300, "0.0"), (1.0, 1e-155, "1e-310"), (1e-300, 1.0, "inf")],
+    ids=["lam-underflows", "kappa-overflows", "lam-overflows"],
+)
+def test_weight_ratio_out_of_range_is_degenerate(sigma_p, sigma_m, lam):
+    # Unchecked, these divide kappa by zero, overflow it, or raise a bare
+    # OverflowError squaring the ratio; the error names both weights.
+    cfg = ToyConfig(nt=128, scan=(1.6, 2.4, 2))
+    acq, r = acquisition(cfg), residual(cfg, 1.8)
+    with pytest.raises(DegenerateWeightsError, match=rf"sigma_m = {sigma_m!r} and "
+                       rf"sigma_p = {sigma_p!r} give lam = .* = {lam}"):
+        toy._fit_extension(1.8, acq, r, sigma_p, sigma_m)
 
 
 def test_tiny_lambda_is_not_flagged_when_f_is_well_conditioned():

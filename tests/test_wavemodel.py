@@ -454,7 +454,7 @@ class TestForward:
         rec[0] = src  # would put a receiver at the source
         src[0] = 2.0
         assert np.array_equal(acq.distances(), [1.0, 2.0])
-        for positions in (acq.source_position, acq.receiver_positions):
+        for positions in (acq.source_position, acq.receiver_positions, acq.distances()):
             with pytest.raises(ValueError):
                 positions[0] = 1.5
 

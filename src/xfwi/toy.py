@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, IllConditionedError, RejectedInputError, XfwiError
+from .errors import (DegenerateWeightsError, IllConditionedError, NotPositiveDefiniteError,
+                     RejectedInputError, XfwiError)
 from .linops import _COND_LIMIT, _integer, _potrs, _spd_factor, check_condition, spd_condition
 from .wavemodel import (
     Acquisition,
@@ -130,20 +131,26 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _cg_steps(bound):
     """Conjugate-gradient steps that reach relative energy-norm error ``u``.
 
-    For a symmetric positive definite matrix of condition number at most
-    ``bound`` the k-th iterate's error obeys ``||e_k||_A <= 2 rho^k ||e_0||_A``
-    with ``rho = (sqrt(bound) - 1) / (sqrt(bound) + 1)`` (the Chebyshev
-    bound); this is the least ``k >= 2`` with ``2 rho^k <= u``, ``u`` the unit
-    roundoff, as a float: 36 at ``bound = 4.3``, inf at ``bound = inf``. At
-    least 2, because the first step's updated residual carries rounding of
-    about ``u ||F^T r||``, as large as the tolerance, which the second step
-    removes: at ``bound = 1`` one step left 13 to 29 of 41 floored
-    conventional fits short of it.
+    The least ``k >= 2`` with ``2 rho^k <= u``, ``rho = (sqrt(bound) - 1) /
+    (sqrt(bound) + 1)``, ``u`` the unit roundoff: by the Chebyshev bound, the
+    k-th iterate's error is at most ``2 rho^k ||e_0||_A`` for a condition
+    number of at most ``bound``. A float: 36 at ``bound = 4.3``, inf at
+    ``bound = inf``. At least 2, because the first step's updated residual
+    carries rounding of about ``u ||F^T r||``, as large as the tolerance: at
+    ``bound = 1`` one step left 13 to 29 of 41 floored conventional fits short.
     """
     s = np.sqrt(bound)
     with np.errstate(divide="ignore"):  # bound = 1 and bound = inf
         rate = np.log1p(2.0 / (s - 1.0))
         return max(2.0, np.ceil(np.log(2.0 / _UNIT_ROUNDOFF) / rate))
+
+
+# The trailing block of the preconditioner covers this many samples past the
+# largest delay. The block solve's step cap is about twice, and its bound on the
+# true normal residual (in units of ||F^T r||) 80 times, the most measured.
+_BLOCK_MARGIN = 16
+_PCG_STEPS = 40
+_NORMAL_RESIDUAL_TOL = 1e-9
 
 
 def _fit_extension(c, acq, r, sigma_p, sigma_m):
@@ -152,41 +159,23 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     The data-space form ``r^T (sigma_p^2 F F^T + sigma_m^2 I)^{-1} r`` equals
     ``min_f ||F f + r||^2 / sigma_m^2 + ||f||^2 / sigma_p^2`` with ``F = F(c)``,
     an ``nt x nt`` problem rather than an ``(n_rec nt) x (n_rec nt)`` one. Its
-    minimizer is ``f = -f_hat`` with
-    ``(F^T F + lam I) f_hat = F^T r``, ``lam = (sigma_m / sigma_p)^2``. F is
-    only applied, never formed. ``kappa = (sum_i r_i^-2 + lam) / lam`` bounds
-    the condition number of ``F^T F + lam I``, since receiver block ``i`` of
-    F crops a circulant whose symbol has modulus at most ``1 / r_i``, and the
-    bound picks the solver:
-
-    * Conjugate gradients (:func:`_cg_solve`) when the Chebyshev step count
-      ``k(kappa)`` of :func:`_cg_steps` is at most ``(nt / 64)^1.5``. Each step
-      applies F and ``F^T`` once, with the FFT kernels of ``forward_F`` and
-      ``adjoint_F``. The solve stops once the residual is at most
-      ``sqrt(kappa) u ||F^T r||`` and raises IllConditionedError if
-      ``k(kappa)`` steps do not get it there. Exact arithmetic rules that
-      out: the k-th residual is at most ``2 sqrt(kappa) rho^k ||F^T r||``.
-    * Otherwise dense Cholesky of the Toeplitz-structured ``F^T F``
-      (``wavemodel._normal_matrix``), with one corrected semi-normal
-      equations step (Bjorck, BIT 27, 1987),
-      ``f_hat += (F^T F + lam I)^{-1} (F^T (r - F f_hat) - lam f_hat)`` from
-      the same factor, which recovers the digits the normal equations lose
-      in the floored extended regime. A normal matrix whose checked
-      condition, ``min(kappa, cond_1 estimate)``, reaches the library limit
-      raises IllConditionedError; the estimate is taken only when ``kappa``
-      reaches it. The normal matrix is built here, symmetric bit for bit, so
-      it is factored in place without a Hermitian check.
-
-    The rule keeps ``k(kappa)`` steps cheaper than the Cholesky path. On one
-    core (1 OpenBLAS thread, 2-core Xeon VM) a step took 0.086, 0.13, 0.22
-    and 0.42 ms at nt = 256, 512, 1024 and 2048, and the Cholesky path 1.1,
-    3.7, 18 and 109 ms: it costs 13, 29, 74 and 260 steps, where the rule
-    allows 8, 22, 64 and 181. At the default offsets the general regime
-    (``sigma_m = sigma_p = 1``, ``kappa = 4.3``, ``k = 36``) takes CG from
-    nt = 698 on and the floored conventional one (``k = 2``) from nt = 102
-    on; the floored extended one (``kappa`` near 1e11) keeps Cholesky. The
-    objective is evaluated at the computed minimizer, where it is
-    stationary, so solve errors enter only to second order.
+    minimizer is ``f = -f_hat`` with ``(F^T F + lam I) f_hat = F^T r``,
+    ``lam = (sigma_m / sigma_p)^2``, solved by :func:`_pcg`; F is only
+    applied, never formed. ``kappa = (sum_i r_i^-2 + lam) / lam`` bounds the
+    condition number of ``F^T F + lam I``, since receiver block ``i`` of F
+    crops a circulant whose symbol has modulus at most ``1 / r_i``. When the
+    Chebyshev step count ``k(kappa)`` of :func:`_cg_steps` is at most
+    ``(nt / 64)^1.5``, the solve takes no preconditioner, stops at a residual
+    of ``sqrt(kappa) u ||F^T r||`` and has ``k(kappa)`` steps, which reach it
+    in exact arithmetic. Otherwise it takes ``M`` of :func:`_block_preconditioner`,
+    stops at ``50 u ||F^T r||`` within ``_PCG_STEPS`` steps, and the true
+    normal residual ``t = F^T (r - F f_hat) - lam f_hat`` must be at most
+    ``_NORMAL_RESIDUAL_TOL ||F^T r||``; one corrected step ``f_hat += M^{-1} t``
+    (after Bjorck, BIT 27, 1987) then brings ``f`` to the accuracy of a direct
+    solve. A solve that misses its stop or the bound raises
+    IllConditionedError. The objective is evaluated at the computed
+    minimizer, where it is stationary, so solve errors enter only to second
+    order.
 
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
@@ -209,35 +198,78 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     rhs = adjoint_F(c, acq, r.reshape(shape))
     steps = _cg_steps(bound)
     if steps <= (acq.nt / 64) ** 1.5:
-        f_hat = _cg_solve(c, acq, lam, rhs, int(steps), np.sqrt(bound) * _UNIT_ROUNDOFF)
+        precondition, steps, rtol = None, int(steps), np.sqrt(bound) * _UNIT_ROUNDOFF
     else:
-        f_hat = _cholesky_solve(c, acq, r, lam, bound, rhs)
+        precondition = _block_preconditioner(c, acq, lam, bound)
+        steps, rtol = _PCG_STEPS, 50 * _UNIT_ROUNDOFF
+    f_hat = _pcg(c, acq, lam, rhs, precondition, steps, rtol)
     misfit = r - forward_F(c, acq, f_hat).values.ravel()
+    if precondition is not None:
+        normal_residual = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
+        size, limit = np.linalg.norm(normal_residual), _NORMAL_RESIDUAL_TOL * np.linalg.norm(rhs)
+        if not size <= limit:
+            raise IllConditionedError(f"toy normal equations: true normal residual "
+                                      f"{size:.3e} after conjugate gradients, above {limit:.3e}")
+        f_hat += precondition(normal_residual)  # the corrected step
+        misfit = r - forward_F(c, acq, f_hat).values.ravel()
     phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
     return phi, -f_hat
 
 
-def _cg_solve(c, acq, lam, rhs, steps, rtol):
+def _block_preconditioner(c, acq, lam, bound):
+    """``v -> M^{-1} v`` for a block preconditioner ``M`` of ``F^T F + lam I``.
+
+    ``M`` is the diagonal of ``F^T F + lam I`` on the first ``nt - b``
+    samples and its trailing ``b x b`` block, Cholesky-factored, on the rest
+    (Concus, Golub & O'Leary 1976). Receiver ``i`` records the last
+    ``r_i / (c dt)`` source samples only in part, so ``b = ceil(max_i r_i /
+    (c dt)) + _BLOCK_MARGIN``, or ``nt`` when that reaches nt or ``bound``
+    reaches the condition limit. In that last case the checked condition is
+    ``min(bound, cond_1 estimate)`` (LAPACK ``pocon``). ``F^T F + lam I`` is
+    positive definite, so a Cholesky breakdown is rounding past double
+    precision and raises IllConditionedError with an infinite condition.
+    """
+    delay = int(np.ceil(acq.distances().max() / (c * acq.dt)))
+    b = acq.nt if bound >= _COND_LIMIT else min(acq.nt, delay + _BLOCK_MARGIN)
+    block, diagonal = _normal_matrix(c, acq, b)  # fresh, Fortran-ordered, symmetric bit for bit
+    block[np.diag_indices_from(block)] += lam
+    # the 1-norm must be read before the factor overwrites the block
+    norm_1 = None if bound < _COND_LIMIT else np.linalg.norm(block, 1)
+    try:
+        factor = _spd_factor(block, "toy normal matrix")
+    except NotPositiveDefiniteError as exc:
+        raise IllConditionedError(f"toy normal matrix broke down: {exc}", condition=np.inf)
+    if norm_1 is not None:
+        check_condition(min(bound, spd_condition(factor, norm_1)), "toy normal matrix")
+    s = acq.nt - b
+    head = diagonal[:s] + lam
+    return lambda v: np.concatenate([v[:s] / head, _potrs(factor, v[s:])])
+
+
+def _pcg(c, acq, lam, rhs, precondition, steps, rtol):
     """``(F^T F + lam I)^{-1} rhs`` by at most ``steps`` conjugate-gradient steps.
 
-    Hestenes & Stiefel (1952), from zero. It returns the first iterate whose
-    recursively updated residual is at most ``rtol ||rhs||`` and raises
-    IllConditionedError when ``steps`` steps leave it above that.
+    Hestenes & Stiefel (1952) from zero, preconditioned by ``precondition``
+    (``v -> M^{-1} v``) unless None: the first iterate whose updated residual is
+    at most ``rtol ||rhs||``, or IllConditionedError if ``steps`` steps miss it.
     """
     x = np.zeros_like(rhs)
     res = rhs.copy()
+    z = res if precondition is None else precondition(res)
     rr = rr_0 = float(res @ res)
+    rz = float(res @ z)
     stop = rtol**2 * rr_0
-    p = res.copy()
+    p = z.copy()
     for _ in range(steps):
         if rr <= stop:
             return x
         q = _shift_gather(c, acq, _shift_stack(c, acq, p)) + lam * p
-        alpha = rr / float(p @ q)
+        alpha = rz / float(p @ q)
         x += alpha * p
         res -= alpha * q
-        rr, rr_old = float(res @ res), rr
-        p = res + (rr / rr_old) * p
+        z = res if precondition is None else precondition(res)
+        rr, rz, rz_old = float(res @ res), float(res @ z), rz
+        p = z + (rz / rz_old) * p
     if rr <= stop:
         return x
     raise IllConditionedError(
@@ -245,32 +277,6 @@ def _cg_solve(c, acq, lam, rhs, steps, rtol):
         f"{np.sqrt(rr / rr_0):.3e} of ||F^T r|| after {steps} steps, "
         f"above {rtol:.3e}"
     )
-
-
-def _cholesky_solve(c, acq, r, lam, bound, rhs):
-    """``(F^T F + lam I)^{-1} F^T r`` by Cholesky and one corrected step; see :func:`_fit_extension`.
-
-    ``rhs`` is ``F^T r``.
-    """
-    # The accuracy of the normal equations is set by cond_2(F^T F + lam I).
-    # Two upper bounds on it: the free bound, and cond_1, which bounds cond_2
-    # of a symmetric matrix and which LAPACK estimates from the factor in
-    # O(nt^2). The first alone would refuse well-conditioned F at tiny lam,
-    # the second alone overstates cond_2. The second is taken only when the
-    # first fails.
-    normal = _normal_matrix(c, acq)  # fresh, Fortran-ordered, symmetric bit for bit
-    normal[np.diag_indices_from(normal)] += lam
-    # the 1-norm must be read before the factor overwrites the matrix
-    norm_1 = None if bound < _COND_LIMIT else np.linalg.norm(normal, 1)
-    factor = _spd_factor(normal, "toy normal matrix")
-    if norm_1 is not None:
-        check_condition(min(bound, spd_condition(factor, norm_1)), "toy normal matrix")
-    shape = (acq.n_receivers, acq.nt)
-    f_hat = _potrs(factor, rhs)
-    misfit = r - forward_F(c, acq, f_hat).values.ravel()
-    correction = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
-    f_hat += _potrs(factor, correction)
-    return f_hat
 
 
 @dataclass

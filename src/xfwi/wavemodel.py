@@ -271,26 +271,22 @@ def _dominance_bound(A):
 # Analytic constant-velocity propagator
 
 
-def _pad_length(nt):
-    # 2x zero padding suppresses circular wrap-around of the delays.
-    return 2 * nt
-
-
 def _phase_factors(c, acq):
     """Per-receiver delay-and-scale symbols ``exp(-i omega r_i / c) / r_i``.
 
-    Returns ``(table, N)`` with N the padded length. One scan point or extsrc
-    velocity applies F and its adjoint several times, so the table is cached
-    per (velocity, distances, nt, dt), the distances keyed by their bytes,
-    and handed out read-only.
+    Returns ``(table, N)`` with ``N = 2 nt`` the padded length, which keeps
+    the delays from wrapping around, and the ``N/2 + 1`` frequencies of real
+    FFTs (the full symbol is Hermitian but for the Nyquist bin, whose
+    imaginary part they drop). The table is cached per (velocity, distances,
+    nt, dt), the distances keyed by their bytes, and handed out read-only.
     """
     return _phase_table(float(c), acq.distances().tobytes(), acq.nt, acq.dt)
 
 
 @lru_cache(maxsize=8)
 def _phase_table(c, distances, nt, dt):
-    N = _pad_length(nt)
-    omega = 2.0 * np.pi * np.fft.fftfreq(N, dt)
+    N = 2 * nt
+    omega = 2.0 * np.pi * np.fft.rfftfreq(N, dt)
     r = np.frombuffer(distances)
     table = np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None]
     table.flags.writeable = False
@@ -301,35 +297,40 @@ def _phase_table(c, distances, nt, dt):
 _GRAM_BLOCK = 64
 
 
-def _normal_matrix(c, acq):
-    """``F^T F`` for the propagator ``F`` at velocity ``c``, in O(nt^2), without F.
+def _normal_matrix(c, acq, b):
+    """``(G[s:, s:], diag G)`` of ``G = F^T F`` at velocity ``c``, ``s = nt - b``, without F.
 
     Receiver block ``T_i`` of F is Toeplitz, ``T_i[j, k] = t_i(j - k)`` with
-    generator ``t_i = ifft(phase_i).real`` on the padded circle, so
-    ``G = sum_i T_i^T T_i`` obeys the displacement recurrence
-    ``G[j+1, k+1] = G[j, k] + E[j, k]`` with
+    generator ``t_i = irfft(phase_i)`` on the padded circle, so G obeys the
+    displacement recurrence ``G[j+1, k+1] = G[j, k] + E[j, k]`` with
     ``E = sum_i (u_i u_i^T - v_i v_i^T)``, ``u_i(l) = t_i(-1-l)`` and
-    ``v_i(l) = t_i(nt-1-l)`` (Kailath & Sayed, SIAM Rev. 37, 1995). The first
-    column is ``F^T F e_0``; every later column is the previous one shifted
-    down plus a column of E (a row, E being symmetric), formed a block at a
-    time. G comes out in Fortran order, so LAPACK's Cholesky takes it without
-    a transposing copy.
+    ``v_i(l) = t_i(nt-1-l)`` (Kailath & Sayed, SIAM Rev. 37, 1995). The
+    block's first column is ``(F^T F e_s)[s:]``; every later column is the
+    previous one shifted down plus a column of E (a row, E being symmetric),
+    formed a block at a time. It comes out in Fortran order and symmetric bit
+    for bit, so LAPACK's Cholesky takes it in place. The diagonal is
+    ``G[j, j] = sum_i (sum_{0 <= l < nt-j} t_i(l)^2 + sum_{0 < l <= j} t_i(-l)^2)``.
     """
     _check_velocity(c)
-    phases, _ = _phase_factors(c, acq)
+    table, N = _phase_factors(c, acq)
     nt = acq.nt
-    t = np.fft.ifft(phases, axis=1).real
-    G = np.empty((nt, nt), order="F")
-    G[:, 0] = _shift_gather(c, acq, t[:, :nt])  # F^T applied to F e_0 = t[:, :nt]
+    s = nt - b
+    t = np.fft.irfft(table, N, axis=1)
+    squares = t**2
+    diagonal = (np.cumsum(squares[:, :nt].sum(axis=0))[::-1]
+                + np.cumsum(np.r_[0.0, squares[:, : N - nt : -1].sum(axis=0)]))
+    G = np.empty((b, b), order="F")
+    G[:, 0] = _shift_gather(c, acq, np.roll(t, s, axis=1)[:, :nt])[s:]  # F^T F e_s
     G[0, 1:] = G[1:, 0]
-    uv = np.vstack([t[:, : nt - 1 : -1], t[:, nt - 1 :: -1]])  # rows u_i, then v_i
-    signed = np.vstack([uv[: acq.n_receivers], -uv[acq.n_receivers :]])[:, : nt - 1]
-    for j0 in range(0, nt - 1, _GRAM_BLOCK):
-        j1 = min(j0 + _GRAM_BLOCK, nt - 1)
+    uv = np.vstack([t[:, : nt - 1 : -1], t[:, nt - 1 :: -1]])[:, s : nt - 1]  # rows u_i, v_i
+    signed = np.vstack([uv[: acq.n_receivers], -uv[acq.n_receivers :]])
+    # no one-row block: BLAS rounds it otherwise, which broke symmetry at b = 66
+    edges = [*range(0, max(b - 2, 1), _GRAM_BLOCK), b - 1]
+    for j0, j1 in zip(edges, edges[1:]):
         E = uv[:, j0:j1].T @ signed
         for j in range(j0, j1):
             np.add(G[:-1, j], E[j - j0], out=G[1:, j + 1])
-    return G
+    return G, diagonal
 
 
 def _check_velocity(c):
@@ -340,18 +341,15 @@ def _check_velocity(c):
 
 def _shift_stack(c, acq, q):
     """Real kernel: delay q by r_i/c and scale by 1/r_i, per receiver."""
-    phases, N = _phase_factors(c, acq)
-    spectrum = np.fft.fft(q, n=N)
-    out = np.fft.ifft(spectrum[None, :] * phases, axis=1).real
-    return out[:, : acq.nt]
+    table, N = _phase_factors(c, acq)
+    return np.fft.irfft(np.fft.rfft(q, N) * table, N, axis=1)[:, : acq.nt]
 
 
 def _shift_gather(c, acq, traces):
     """Real adjoint kernel: advance trace i by r_i/c, scale 1/r_i, sum."""
-    phases, N = _phase_factors(c, acq)
-    spectra = np.fft.fft(traces, n=N, axis=1)
-    out = np.fft.ifft(spectra * phases.conj(), axis=1).real
-    return out[:, : acq.nt].sum(axis=0)
+    table, N = _phase_factors(c, acq)
+    spectrum = (np.fft.rfft(traces, N, axis=1) * table.conj()).sum(axis=0)
+    return np.fft.irfft(spectrum, N)[: acq.nt]
 
 
 def _complexified(kernel, x):
@@ -417,7 +415,7 @@ def kernel_k(c, acq):
     the time reverse of panel (j, i).
     """
     _check_velocity(c)
-    nrec, nt = acq.n_receivers, acq.nt
+    nt = acq.nt
     r = acq.distances()
     max_lag = (r.max() - r.min()) / c
     mid = nt // 2
@@ -426,12 +424,8 @@ def kernel_k(c, acq):
             f"record of {nt} samples at dt = {acq.dt} cannot hold the "
             f"kernel lag range +-{max_lag:.3f}s for c = {c}"
         )
-    phases, N = _phase_factors(c, acq)
+    table, N = _phase_factors(c, acq)
     lags = (np.arange(nt) - mid) * acq.dt
     idx = (np.arange(nt) - mid) % N
-    traces = np.empty((nrec, nrec, nt))
-    for i in range(nrec):
-        for j in range(nrec):
-            ring = np.fft.ifft(phases[i] * phases[j].conj()).real
-            traces[i, j, :] = ring[idx]
-    return KernelPanels(lags=lags, traces=traces, c=float(c))
+    rings = np.fft.irfft(table[:, None, :] * table.conj()[None, :, :], N, axis=2)
+    return KernelPanels(lags=lags, traces=rings[:, :, idx], c=float(c))

@@ -20,7 +20,7 @@ from xfwi import (
 )
 from xfwi import formulations, linops
 from xfwi.cli import random_covariance
-from xfwi.wavemodel import _check_velocity, _phase_factors, medium_values
+from xfwi.wavemodel import _check_velocity, medium_values
 
 
 def spd_solve(M, b, what):
@@ -309,6 +309,20 @@ def dA_dm(model, k):
     return DenseOperator(D)
 
 
+def full_spectrum_symbols(c, acq):
+    """Delay-and-scale symbols ``exp(-i omega r_i / c) / r_i`` on all ``2 nt`` FFT bins.
+
+    Built from ``c``, the distances and ``dt`` alone, independently of the
+    program's half-spectrum table, for the dense oracles below. Returns
+    ``(symbols, N)`` with ``N = 2 nt`` the padded length.
+    """
+    _check_velocity(c)
+    N = 2 * acq.nt
+    omega = 2.0 * np.pi * np.fft.fftfreq(N, acq.dt)
+    r = acq.distances()
+    return np.exp(-1j * omega[None, :] * (r / c)[:, None]) / r[:, None], N
+
+
 def dense_forward_matrix(c, acq):
     """Materialize the propagator as a real ``(n_rec * nt, nt)`` matrix.
 
@@ -316,16 +330,15 @@ def dense_forward_matrix(c, acq):
     delay kernel on the padded grid, so assembly costs one FFT per receiver
     instead of one per column. Identical to applying :func:`forward_F` to
     basis vectors, to roundoff. It has no production caller: the toy applies
-    F matrix-free and builds ``F^T F`` with ``_normal_matrix``; this dense
-    form is the tests' oracle for both and for the adjoint dot test.
+    F matrix-free and builds blocks of ``F^T F`` with ``_normal_matrix``; this
+    dense form is the tests' oracle for both and for the adjoint dot test.
     """
-    _check_velocity(c)
-    phases, N = _phase_factors(c, acq)
+    symbols, N = full_spectrum_symbols(c, acq)
     nt = acq.nt
     F = np.empty((acq.n_receivers * nt, nt))
     row_idx = (-np.arange(nt)) % N
     for i in range(acq.n_receivers):
-        ker = np.fft.ifft(phases[i]).real
+        ker = np.fft.ifft(symbols[i]).real
         F[i * nt : (i + 1) * nt, :] = toeplitz(ker[:nt], ker[row_idx])
     return F
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -421,6 +422,18 @@ class TestEquivCheck:
         assert outputs[0] == outputs[1]
 
 
+    def test_gap_above_1e9_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        # 1e-8 lies between the gate, 1e-9, and ten times looser ones
+        real = cli.verify_equivalence
+        monkeypatch.setattr(cli, "verify_equivalence",
+                            lambda prob, m: dataclasses.replace(real(prob, m), rel_gap=1e-8))
+        cfg = write_config(tmp_path, SMALL_EQUIV)
+        out = tmp_path / "out"
+        assert main(["equiv-check", "--config", cfg, "--out", str(out)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        assert "worst rel gap 1.000e-08" in capsys.readouterr().out
+
+
 class TestGradCheck:
     def test_small_run_passes(self, tmp_path, capsys):
         # the default config: n = 20, seed 42
@@ -466,6 +479,17 @@ class TestGradCheck:
                   [np.arange(100), analytic, fd, rel])
         expected = (tmp_path / "expected.csv").read_bytes()
         assert (out / "gradient.csv").read_bytes() == expected
+
+    def test_error_above_1e4_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        # differences 1e-3 off the analytic gradient: between the gate, 1e-4,
+        # and looser ones such as 1e-2
+        monkeypatch.setattr(cli, "fd_gradient", lambda prob, m: grad_phi(prob, m) / (1.0 + 1e-3))
+        out = tmp_path / "out"
+        assert main(["grad-check", "--seed", "42", "--out", str(out)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+        _, rows = read_csv(out / "gradient.csv")
+        assert 9e-4 <= max(float(r[3]) for r in rows) <= 1e-3
+        assert "max rel err 1.000e-03" in capsys.readouterr().out
 
     def test_consistent_data_gradient_vanishes(self, tmp_path):
         cfg = write_config(tmp_path, {"grad": {"n": 10, "data": "consistent"}})

@@ -686,6 +686,26 @@ class TestVerifiers:
         assert np.allclose(lhs, 0.5 * np.eye(n))
         assert verify_equivalence(prob, np.ones(n)).identity_max_err <= 1e-14
 
+    def test_rel_gap_is_relative_to_one_plus_phi_joint(self):
+        # Some instances give the two objectives bit for bit; the others carry
+        # a rounding gap, which a wrong denominator would change.
+        gaps = 0
+        for seed in range(8):
+            rep = verify_equivalence(*make_helmholtz_instance(seed=seed))
+            gap = abs(rep.phi_joint - rep.phi_reduced) / (1.0 + rep.phi_joint)
+            assert rep.rel_gap == gap, seed
+            gaps += gap > 0.0
+        assert gaps >= 2
+
+    @pytest.mark.parametrize("ratio, ok", [(1e-8, False), (1e-11, True)])
+    def test_report_refuses_an_imaginary_part_above_1e10_of_the_real(self, ratio, ok):
+        r, r_tilde = np.array([1.0 + 0j]), np.array([2.0 + 2.0j * ratio])
+        if ok:
+            assert formulations._report(r, r_tilde).value == 2.0
+            return
+        with pytest.raises(IllConditionedError, match="imaginary part"):
+            formulations._report(r, r_tilde)
+
     def test_helmholtz_identity(self):
         prob, m = make_helmholtz_instance(seed=33)
         assert verify_equivalence(prob, m).identity_max_err <= 1e-10

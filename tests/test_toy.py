@@ -18,7 +18,7 @@ from xfwi import (
     synthesize_data,
 )
 from xfwi import toy, wavemodel
-from xfwi.errors import RejectedInputError
+from xfwi.errors import NotPositiveDefiniteError, RejectedInputError
 from xfwi.toy import REGIMES
 
 
@@ -195,16 +195,20 @@ def extended_objective(F, r, f, sigma_p, sigma_m):
     return float(res @ res) / sigma_m**2 + float(f @ f) / sigma_p**2
 
 
-def qr_oracle(F, r, sigma_p, sigma_m):
-    """Minimum of :func:`extended_objective` over f, by QR of ``[F; (sm/sp) I]``.
+def qr_minimizer(F, r, sigma_p, sigma_m):
+    """``f_hat``, with ``-f_hat`` the minimizer of :func:`extended_objective`, by QR of ``[F; (sm/sp) I]``.
 
     The stacked least-squares matrix has the square root of the condition
     number of the normal equations, so it serves as the independent reference.
     """
     nt = F.shape[1]
     Q, R = qr(np.vstack([F, (sigma_m / sigma_p) * np.eye(nt)]), mode="economic")
-    f_hat = solve_triangular(R, Q.T @ np.concatenate([r, np.zeros(nt)]))
-    return extended_objective(F, r, -f_hat, sigma_p, sigma_m)
+    return solve_triangular(R, Q.T @ np.concatenate([r, np.zeros(nt)]))
+
+
+def qr_oracle(F, r, sigma_p, sigma_m):
+    """Minimum of :func:`extended_objective` over f, at :func:`qr_minimizer`."""
+    return extended_objective(F, r, -qr_minimizer(F, r, sigma_p, sigma_m), sigma_p, sigma_m)
 
 
 def residual(cfg, c):
@@ -259,8 +263,9 @@ def test_extended_regime_matches_qr_oracle(cfg):
 
 
 def test_floored_hypothesis_draw_matches_qr_oracle():
-    # A draw of the sweep below; from the normal equations alone, without the
-    # correction step, the objective misses the oracle by 1.2e-8 at c = 2.4.
+    # A draw of the sweep below. At nt = 33 the preconditioner is the whole
+    # Cholesky factor; one solve with it alone misses the oracle by 2.7e-8 at
+    # c = 2.4, and the conjugate-gradient steps from it bring that to 3.3e-12.
     cfg = ToyConfig(
         receiver_distances=(0.5, 0.75),
         nt=33,
@@ -285,9 +290,9 @@ def test_floored_hypothesis_draw_matches_qr_oracle():
 
 
 def test_normal_matrix_past_double_precision_is_flagged():
-    # sigma_p = 10 at nt = 32: cond(F^T F + lam I) is about 5e16, past 1/eps, where the normal equations, correction step included,
-    # miss the QR oracle by 1e-4 at c = 1.7 and 3e-2 at c = 2.4. The points
-    # get a status and no value instead.
+    # sigma_p = 10 at nt = 32: cond(F^T F + lam I) is about 5e16, past 1/eps,
+    # where the normal equations missed the QR oracle by 1e-4 at c = 1.7 and
+    # 3e-2 at c = 2.4. The points get a status and no value instead.
     cfg = ToyConfig(
         receiver_distances=(0.3, 0.5),
         nt=32,
@@ -348,11 +353,12 @@ def test_tiny_lambda_is_not_flagged_when_f_is_well_conditioned():
 
 @pytest.fixture
 def toy_guards(monkeypatch):
-    # Counts the condition estimates and records, per factorization, whether
-    # the normal matrix is Fortran-ordered and symmetric bit for bit, which
-    # is what factoring it in place without a Hermitian check relies on.
+    # Counts the condition estimates and the Cholesky breakdowns and records,
+    # per factorization, whether the normal matrix block is Fortran-ordered
+    # and symmetric bit for bit, which is what factoring it in place without
+    # a Hermitian check relies on.
     real_condition, real_factor = toy.spd_condition, toy._spd_factor
-    guards = {"estimates": 0, "factored": []}
+    guards = {"estimates": 0, "factored": [], "breakdowns": 0}
 
     def condition(factor, norm_1):
         guards["estimates"] += 1
@@ -360,7 +366,11 @@ def toy_guards(monkeypatch):
 
     def factor(M, what):
         guards["factored"].append(M.flags.f_contiguous and np.array_equal(M, M.T))
-        return real_factor(M, what)
+        try:
+            return real_factor(M, what)
+        except NotPositiveDefiniteError:
+            guards["breakdowns"] += 1
+            raise
 
     monkeypatch.setattr(toy, "spd_condition", condition)
     monkeypatch.setattr(toy, "_spd_factor", factor)
@@ -381,10 +391,10 @@ def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides
         estimate_extended_source(cfg, 1.8, regime)
     assert toy_guards["estimates"] == 0
     # The conventional scan has no extension, and the floored conventional
-    # extsrc fit takes conjugate gradients: neither factors. The floored
-    # extended fits (2 scan points and extsrc) factor at both sizes, the
-    # general ones only at nt = 512, where their step cap of 36 exceeds
-    # (512 / 64)^1.5.
+    # extsrc fit takes plain conjugate gradients: neither factors. The
+    # floored extended fits (2 scan points and extsrc) factor a trailing
+    # block at both sizes, the general ones only at nt = 512, where their
+    # step cap of 36 exceeds (512 / 64)^1.5.
     assert toy_guards["factored"] == [True] * factored
 
 
@@ -397,9 +407,39 @@ def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides
     ids=lambda f: f.__name__,
 )
 def test_condition_estimate_taken_when_the_bound_fails(toy_guards, check):
+    # A factorization that breaks down leaves no factor to estimate from.
     check()
-    assert toy_guards["estimates"] == len(toy_guards["factored"]) >= 2
+    factored = len(toy_guards["factored"])
+    assert toy_guards["estimates"] == factored - toy_guards["breakdowns"]
+    assert factored >= 2
     assert all(toy_guards["factored"])
+
+
+def test_cholesky_breakdown_is_ill_conditioning(toy_guards):
+    # sigma_p = 20 at nt = 32: F^T F + lam I is positive definite, but past
+    # double precision potrf can break down before pocon can flag it, as it
+    # did at 6 of these 8 velocities. Either way the point is ill conditioned,
+    # never NotPositiveDefiniteError.
+    cfg = ToyConfig(receiver_distances=(0.3, 0.5), nt=32, dt=0.008, f0=8.0, t0=0.2,
+                    sigma_p=20.0, scan=(1.7, 2.4, 8))
+    scan = scan_objective(cfg, "extended")
+    assert scan.status == ["IllConditionedError"] * 8
+    assert np.all(np.isnan(scan.phi_raw))
+    assert toy_guards["breakdowns"] >= 1
+    with pytest.raises(IllConditionedError) as info:
+        estimate_extended_source(cfg, 1.7, regime="extended")
+    assert info.value.condition > 1e14
+
+
+def test_breakdown_reports_an_infinite_condition(monkeypatch):
+    def breakdown(M, what):
+        raise NotPositiveDefiniteError("leading minor 3 is not positive definite")
+
+    monkeypatch.setattr(toy, "_spd_factor", breakdown)
+    cfg = ToyConfig(nt=128, scan=(1.6, 2.4, 2))
+    with pytest.raises(IllConditionedError, match="broke down") as info:
+        estimate_extended_source(cfg, 1.8, regime="extended")
+    assert info.value.condition == np.inf
 
 
 WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
@@ -460,7 +500,7 @@ def test_scan_and_extsrc_match_qr_oracle(regime, cfg):
 
 
 # ---------------------------------------------------------------------------
-# The conjugate-gradient path of _fit_extension.
+# The conjugate-gradient solve of _fit_extension, plain and block-preconditioned.
 
 
 def normal_bound(cfg, sigma_p, sigma_m):
@@ -525,6 +565,7 @@ def test_floored_conventional_fits_converge_at_a_bound_of_one():
 def test_conjugate_gradients_match_cholesky_and_qr_oracle(monkeypatch, name):
     # Measured with sigma_m = sigma_p = 1 over 21 velocities in [1.5, 2.5],
     # CG forced at nt = 512: phi within 3.3e-16 of the Cholesky path, f 6.5e-16.
+    # The block preconditioner now stands in for that Cholesky path.
     cfg, _ = CG_CONFIGS[name]
     acq = acquisition(cfg)
     sigma_p, sigma_m = cfg.sigma_p, cfg.sigma_m
@@ -532,7 +573,7 @@ def test_conjugate_gradients_match_cholesky_and_qr_oracle(monkeypatch, name):
         r = residual(cfg, c)
         phi, f = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
         with monkeypatch.context() as m:
-            m.setattr(toy, "_cg_steps", lambda bound: np.inf)  # forces Cholesky
+            m.setattr(toy, "_cg_steps", lambda bound: np.inf)  # forces the block
             phi_chol, f_chol = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
         assert abs(phi - phi_chol) <= 4e-15 * phi_chol, c
         assert np.linalg.norm(f - f_chol) <= 1e-14 * np.linalg.norm(f_chol), c
@@ -548,3 +589,62 @@ def test_conjugate_gradients_short_of_the_tolerance_raise(monkeypatch):
     assert np.all(np.isnan(scan.phi_raw))
     with pytest.raises(IllConditionedError, match="conjugate gradients"):
         estimate_extended_source(cfg, 1.8, "general")
+
+
+# The README config and the default one, both in the floored extended regime,
+# where every fit takes the block preconditioner.
+BLOCK_CONFIGS = {
+    "nt512": ToyConfig(nt=512, scan=(1.6, 2.4, 2)),
+    "nt1024": ToyConfig(nt=1024, f0=15.0, scan=(1.6, 2.4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_CONFIGS)
+def test_block_fit_past_its_step_cap_raises(monkeypatch, name):
+    cfg = BLOCK_CONFIGS[name]
+    monkeypatch.setattr(toy, "_PCG_STEPS", 1)
+    scan = scan_objective(cfg, "extended")
+    assert scan.status == ["IllConditionedError"] * 2
+    assert np.all(np.isnan(scan.phi_raw))
+    with pytest.raises(IllConditionedError, match="conjugate gradients left the residual"):
+        estimate_extended_source(cfg, 1.8, "extended")
+
+
+def test_block_fit_short_of_its_true_residual_bound_raises(monkeypatch):
+    # The recursively updated residual met its stop; the true normal residual
+    # F^T (r - F f_hat) - lam f_hat is checked on its own.
+    cfg = BLOCK_CONFIGS["nt512"]
+    monkeypatch.setattr(toy, "_NORMAL_RESIDUAL_TOL", 0.0)
+    with pytest.raises(IllConditionedError, match="true normal residual"):
+        estimate_extended_source(cfg, 1.8, "extended")
+
+
+@pytest.mark.parametrize("regime", ["extended", "general"])
+@pytest.mark.parametrize("name", BLOCK_CONFIGS)
+def test_fit_at_the_true_velocity_is_zero(name, regime):
+    # r = 0 exactly, so F^T r = 0: no step, no division (the suite turns
+    # warnings into errors), and the true residual bound 0 <= tol * 0 holds.
+    cfg = BLOCK_CONFIGS[name]
+    acq = acquisition(cfg)
+    r = residual(cfg, cfg.c_true)
+    assert not r.any()
+    sigma_p, sigma_m = scan_weights(cfg, regime)
+    phi, f = toy._fit_extension(cfg.c_true, acq, r, sigma_p, sigma_m)
+    assert phi == 0.0 and not f.any()
+
+
+@pytest.mark.parametrize("name", BLOCK_CONFIGS)
+def test_block_fit_extension_matches_qr_oracle(name):
+    # extsrc writes f itself, where the objective's stationarity does not
+    # help. Against the oracle's minimizer, at c = 1.5, 1.8 and 2.5, the
+    # extension was off by 3.2e-8, 1.7e-6 and 4.2e-6 (nt = 512) and 9.0e-8,
+    # 4.8e-6 and 4.3e-6 (nt = 1024), with the corrected step through the
+    # preconditioner; without it, by up to 4.8e-5. The gate is 4 times the
+    # worst measured value.
+    cfg = BLOCK_CONFIGS[name]
+    acq = acquisition(cfg)
+    sigma_p, sigma_m = scan_weights(cfg, "extended")
+    for c in (1.5, 1.8, 2.5):
+        f_hat = qr_minimizer(forward_columns(c, acq), residual(cfg, c), sigma_p, sigma_m)
+        f = estimate_extended_source(cfg, c, "extended").extension
+        assert np.linalg.norm(f + f_hat) <= 2e-5 * np.linalg.norm(f_hat), c

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dA_dm, dense_forward_matrix, dot_test, propagator
+from conftest import dA_dm, dense_forward_matrix, dot_test, full_spectrum_symbols, propagator
 from xfwi import (
     Acquisition,
     Dataset,
@@ -526,6 +526,17 @@ class TestKernel:
                 peak = panels.lags[np.argmax(np.abs(panels.traces[i, j]))]
                 assert abs(peak - expected) <= acq.dt
 
+    @pytest.mark.parametrize("c", [1.6, 1.85, 2.4])
+    def test_panels_match_full_spectrum_transform(self, c):
+        # the half-spectrum irfft against ifft(...).real of the full symbols
+        acq = line_acquisition([0.8, 1.0, 1.2], nt=256, dt=0.004)
+        symbols, N = full_spectrum_symbols(c, acq)
+        idx = (np.arange(256) - 128) % N
+        expected = np.array([[np.fft.ifft(a * b.conj()).real[idx] for b in symbols]
+                             for a in symbols])
+        traces = kernel_k(c, acq).traces
+        assert np.abs(traces - expected).max() <= 1e-15 * np.abs(expected).max()
+
     def test_dense_matrix_matches_columns(self):
         acq = line_acquisition([0.8, 1.0, 1.2], nt=96, dt=0.008)
         F = dense_forward_matrix(1.85, acq)
@@ -547,16 +558,37 @@ class TestNormalMatrix:
         acq = line_acquisition(distances, nt=nt, dt=0.004)
         F = dense_forward_matrix(c, acq)
         expected = F.T @ F
-        G = _normal_matrix(c, acq)
+        G, _ = _normal_matrix(c, acq, nt)
         assert np.abs(G - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("c", [1.6, 2.0, 2.4])
+    @pytest.mark.parametrize("distances", [[1.0], [0.8, 1.0, 1.2]], ids=["1rec", "3rec"])
+    @pytest.mark.parametrize("nt", [2, 3, 33, 65, 512, 1024])
+    def test_trailing_block_and_diagonal_match_dense_gram(self, nt, distances, c):
+        # Block sides of 1, 2, one past a 64-row block of E, and the toy's
+        # ceil(r_max / (c dt)) + 16, each where it fits in nt.
+        acq = line_acquisition(distances, nt=nt, dt=0.004)
+        F = dense_forward_matrix(c, acq)
+        expected = F.T @ F
+        scale = np.abs(expected).max()
+        toy_side = int(np.ceil(max(distances) / (c * 0.004))) + 16
+        for b in sorted({b for b in (1, 2, 65, toy_side) if b <= nt}):
+            block, diagonal = _normal_matrix(c, acq, b)
+            assert block.shape == (b, b)
+            assert np.abs(block - expected[nt - b :, nt - b :]).max() <= 1e-13 * scale, b
+            assert np.abs(diagonal - np.diag(expected)).max() <= 1e-13 * scale, b
 
     @pytest.mark.parametrize("nt", [33, 512, 1024])
     def test_fortran_ordered_and_exactly_symmetric(self, nt):
-        # Filled down columns, G is the transpose of a row fill; E being
-        # symmetric, the two agree bit for bit.
-        G = _normal_matrix(1.9, line_acquisition([0.8, 1.0, 1.2], nt=nt, dt=0.004))
-        assert G.flags.f_contiguous
-        assert np.array_equal(G, G.T)
+        # Filled down columns, a block is the transpose of a row fill; E
+        # being symmetric, the two agree bit for bit. With b - 1 one past a
+        # multiple of 64 (b = 66, 130, 386) a last E block of one row broke
+        # that by up to 7e-18.
+        acq = line_acquisition([0.8, 1.0, 1.2], nt=nt, dt=0.004)
+        for b in (1, 2, 3, 33, 66, 130, 200, 386, nt):
+            G, _ = _normal_matrix(1.9, acq, min(b, nt))
+            assert G.flags.f_contiguous
+            assert np.array_equal(G, G.T)
 
     @pytest.mark.parametrize("c", [1.6, 2.4])
     @pytest.mark.parametrize("distances", [[0.3, 0.5], [0.8, 1.0, 1.2]])
@@ -564,7 +596,7 @@ class TestNormalMatrix:
         # Each receiver block crops a circulant whose symbol has modulus at
         # most 1 / r_i; the toy's condition bound rests on this.
         acq = line_acquisition(distances, nt=256, dt=0.004)
-        top = np.linalg.eigvalsh(_normal_matrix(c, acq)).max()
+        top = np.linalg.eigvalsh(_normal_matrix(c, acq, acq.nt)[0]).max()
         assert top <= np.sum(acq.distances() ** -2.0) * (1.0 + 1e-12)
 
 

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -489,6 +490,9 @@ def _velocity(text):
     return c
 
 
+# Cached for repeated in-process main calls, which build it once; each
+# parse_args fills a fresh namespace.
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="xfwi",

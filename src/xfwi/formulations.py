@@ -37,13 +37,13 @@ from .linops import (
     CovarianceSpec,
     SamplingOperator,
     TridiagonalOperator,
+    _UNIT_ROUNDOFF,
     _read_only,
     _spd_solve,
 )
 from .wavemodel import medium_values
 
 _FD_STEP = 1e-3  # relative step of fd_gradient, scaled per component
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 _ETA = float(np.finfo(float).smallest_subnormal)  # the most an underflowing product loses
 # Entries (rows of the stacked operator times its receivers plus one) per
 # group of fd_gradient's media: 32 media at n = 100 with 3 receivers.

@@ -21,6 +21,7 @@ from .errors import (
 _HERMITIAN_RTOL = 1e-12
 _HERMITIAN_BLOCK = 128  # tile side of the Hermitian check
 _COND_LIMIT = 1e14
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0  # of IEEE double precision
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (DegenerateWeightsError, IllConditionedError, NotPositiveDefiniteError,
                      RejectedInputError, XfwiError)
-from .linops import _COND_LIMIT, _integer, _potrs, _spd_factor, check_condition, spd_condition
+from .linops import (_COND_LIMIT, _UNIT_ROUNDOFF, _integer, _potrs, _spd_factor, check_condition,
+                     spd_condition)
 from .wavemodel import (
     Acquisition,
     Dataset,
@@ -124,30 +125,14 @@ def _regime_weights(cfg, regime, data_norm):
     raise RejectedInputError(f"unknown regime {regime!r}")
 
 
-# Unit roundoff of IEEE double precision.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _cg_steps(bound):
-    """Conjugate-gradient steps that reach relative energy-norm error ``u``.
-
-    The least ``k >= 2`` with ``2 rho^k <= u``, ``rho = (sqrt(bound) - 1) /
-    (sqrt(bound) + 1)``, ``u`` the unit roundoff: by the Chebyshev bound, the
-    k-th iterate's error is at most ``2 rho^k ||e_0||_A`` for a condition
-    number of at most ``bound``. A float: 36 at ``bound = 4.3``, inf at
-    ``bound = inf``. At least 2, because the first step's updated residual
-    carries rounding of about ``u ||F^T r||``, as large as the tolerance: at
-    ``bound = 1`` one step left 13 to 29 of 41 floored conventional fits short.
-    """
-    s = np.sqrt(bound)
-    with np.errstate(divide="ignore"):  # bound = 1 and bound = inf
-        rate = np.log1p(2.0 / (s - 1.0))
-        return max(2.0, np.ceil(np.log(2.0 / _UNIT_ROUNDOFF) / rate))
-
-
-# The trailing block of the preconditioner covers this many samples past the
-# largest delay. The block solve's step cap is about twice, and its bound on the
-# true normal residual (in units of ||F^T r||) 80 times, the most measured.
+# Below this free condition bound the fit takes no preconditioner. It is where
+# the timings stopped, not a measured crossover: at kappa = 1003 plain conjugate
+# gradients still won at nt = 512 (22.5 against 30.3 ms a 21-velocity scan) and
+# tied at nt = 2048; no kappa between 1e3 and 3.6e3 was timed (README).
+# The trailing block of the preconditioner covers _BLOCK_MARGIN samples past the
+# largest delay. The step cap is about twice, and the bound on the true normal
+# residual (in units of ||F^T r||) 80 times, the most measured.
+_PRECONDITION_BOUND = 1e3
 _BLOCK_MARGIN = 16
 _PCG_STEPS = 40
 _NORMAL_RESIDUAL_TOL = 1e-9
@@ -163,19 +148,15 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
     ``lam = (sigma_m / sigma_p)^2``, solved by :func:`_pcg`; F is only
     applied, never formed. ``kappa = (sum_i r_i^-2 + lam) / lam`` bounds the
     condition number of ``F^T F + lam I``, since receiver block ``i`` of F
-    crops a circulant whose symbol has modulus at most ``1 / r_i``. When the
-    Chebyshev step count ``k(kappa)`` of :func:`_cg_steps` is at most
-    ``(nt / 64)^1.5``, the solve takes no preconditioner, stops at a residual
-    of ``sqrt(kappa) u ||F^T r||`` and has ``k(kappa)`` steps, which reach it
-    in exact arithmetic. Otherwise it takes ``M`` of :func:`_block_preconditioner`,
-    stops at ``50 u ||F^T r||`` within ``_PCG_STEPS`` steps, and the true
-    normal residual ``t = F^T (r - F f_hat) - lam f_hat`` must be at most
-    ``_NORMAL_RESIDUAL_TOL ||F^T r||``; one corrected step ``f_hat += M^{-1} t``
-    (after Bjorck, BIT 27, 1987) then brings ``f`` to the accuracy of a direct
-    solve. A solve that misses its stop or the bound raises
-    IllConditionedError. The objective is evaluated at the computed
-    minimizer, where it is stationary, so solve errors enter only to second
-    order.
+    crops a circulant whose symbol has modulus at most ``1 / r_i``. The solve
+    takes no preconditioner when ``kappa < _PRECONDITION_BOUND`` and ``M`` of
+    :func:`_block_preconditioner` otherwise; either way the true normal
+    residual ``t = F^T (r - F f_hat) - lam f_hat`` must be at most
+    ``_NORMAL_RESIDUAL_TOL ||F^T r||``, or IllConditionedError is raised.
+    With ``M``, one corrected step ``f_hat += M^{-1} t`` (after Bjorck, BIT 27,
+    1987) then brings ``f`` to the accuracy of a direct solve. The objective
+    is evaluated at the computed minimizer, where it is stationary, so solve
+    errors enter only to second order.
 
     Returns ``(phi, f)``. ``sigma_p = 0`` leaves no extension (``phi =
     ||r||^2 / sigma_m^2``, ``f = 0``); ``sigma_m = 0`` makes the misfit
@@ -196,20 +177,16 @@ def _fit_extension(c, acq, r, sigma_p, sigma_m):
         )
     shape = (acq.n_receivers, acq.nt)
     rhs = adjoint_F(c, acq, r.reshape(shape))
-    steps = _cg_steps(bound)
-    if steps <= (acq.nt / 64) ** 1.5:
-        precondition, steps, rtol = None, int(steps), np.sqrt(bound) * _UNIT_ROUNDOFF
-    else:
-        precondition = _block_preconditioner(c, acq, lam, bound)
-        steps, rtol = _PCG_STEPS, 50 * _UNIT_ROUNDOFF
-    f_hat = _pcg(c, acq, lam, rhs, precondition, steps, rtol)
+    precondition = (None if bound < _PRECONDITION_BOUND
+                    else _block_preconditioner(c, acq, lam, bound))
+    f_hat = _pcg(c, acq, lam, rhs, precondition)
     misfit = r - forward_F(c, acq, f_hat).values.ravel()
+    normal_residual = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
+    size, limit = np.linalg.norm(normal_residual), _NORMAL_RESIDUAL_TOL * np.linalg.norm(rhs)
+    if not size <= limit:
+        raise IllConditionedError(f"toy normal equations: true normal residual "
+                                  f"{size:.3e} after conjugate gradients, above {limit:.3e}")
     if precondition is not None:
-        normal_residual = adjoint_F(c, acq, misfit.reshape(shape)) - lam * f_hat
-        size, limit = np.linalg.norm(normal_residual), _NORMAL_RESIDUAL_TOL * np.linalg.norm(rhs)
-        if not size <= limit:
-            raise IllConditionedError(f"toy normal equations: true normal residual "
-                                      f"{size:.3e} after conjugate gradients, above {limit:.3e}")
         f_hat += precondition(normal_residual)  # the corrected step
         misfit = r - forward_F(c, acq, f_hat).values.ravel()
     phi = float(misfit @ misfit) / sigma_m**2 + float(f_hat @ f_hat) / sigma_p**2
@@ -246,13 +223,14 @@ def _block_preconditioner(c, acq, lam, bound):
     return lambda v: np.concatenate([v[:s] / head, _potrs(factor, v[s:])])
 
 
-def _pcg(c, acq, lam, rhs, precondition, steps, rtol):
-    """``(F^T F + lam I)^{-1} rhs`` by at most ``steps`` conjugate-gradient steps.
+def _pcg(c, acq, lam, rhs, precondition):
+    """``(F^T F + lam I)^{-1} rhs`` by at most ``_PCG_STEPS`` conjugate-gradient steps.
 
     Hestenes & Stiefel (1952) from zero, preconditioned by ``precondition``
     (``v -> M^{-1} v``) unless None: the first iterate whose updated residual is
-    at most ``rtol ||rhs||``, or IllConditionedError if ``steps`` steps miss it.
+    at most ``50 u ||rhs||``, or IllConditionedError if the steps miss it.
     """
+    rtol = 50 * _UNIT_ROUNDOFF
     x = np.zeros_like(rhs)
     res = rhs.copy()
     z = res if precondition is None else precondition(res)
@@ -260,7 +238,7 @@ def _pcg(c, acq, lam, rhs, precondition, steps, rtol):
     rz = float(res @ z)
     stop = rtol**2 * rr_0
     p = z.copy()
-    for _ in range(steps):
+    for _ in range(_PCG_STEPS):
         if rr <= stop:
             return x
         q = _shift_gather(c, acq, _shift_stack(c, acq, p)) + lam * p
@@ -274,7 +252,7 @@ def _pcg(c, acq, lam, rhs, precondition, steps, rtol):
         return x
     raise IllConditionedError(
         f"toy normal equations: conjugate gradients left the residual at "
-        f"{np.sqrt(rr / rr_0):.3e} of ||F^T r|| after {steps} steps, "
+        f"{np.sqrt(rr / rr_0):.3e} of ||F^T r|| after {_PCG_STEPS} steps, "
         f"above {rtol:.3e}"
     )
 

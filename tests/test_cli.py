@@ -572,6 +572,13 @@ class TestScanCommand:
         assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
 
 
+def test_parser_built_once_per_process(tmp_path):
+    cli.build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert main(["extsrc", "--c=0", "--out", str(tmp_path / name)]) == 2
+    assert cli.build_parser.cache_info().misses == 1
+
+
 class TestExtsrcCommand:
     def test_true_velocity_extension_vanishes(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_TOY)
@@ -594,6 +601,15 @@ class TestExtsrcCommand:
             header, rows = read_csv(out / f"extdata_c{c}.csv")
             assert header == ["t", "receiver_id", "observed", "clean_model", "fitted"]
             assert len(rows) == 3 * SMALL_TOY["toy"]["nt"]
+
+    def test_velocities_do_not_carry_over_between_calls(self, tmp_path):
+        # main reuses one parser; the --c list of one call is not the next one's
+        cfg = write_config(tmp_path, SMALL_TOY)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["extsrc", "--config", cfg, "--out", str(first), "--c", "1.7"]) == 0
+        assert main(["extsrc", "--config", cfg, "--out", str(second)]) == 0
+        assert sorted(p.name for p in second.glob("extsrc_c*.csv")) == [
+            "extsrc_c1.8.csv", "extsrc_c2.2.csv"]
 
     @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
     def test_bad_velocity_is_usage_error(self, tmp_path, c):

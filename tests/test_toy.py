@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -377,12 +379,8 @@ def toy_guards(monkeypatch):
     return guards
 
 
-@pytest.mark.parametrize(
-    "overrides, factored",
-    [({}, 6), ({"nt": 1024, "f0": 15.0}, 3)],
-    ids=["default", "readme"],
-)
-def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides, factored):
+@pytest.mark.parametrize("overrides", [{}, {"nt": 1024, "f0": 15.0}], ids=["default", "readme"])
+def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides):
     # The free bound (sum_i r_i^-2 + lam) / lam does not depend on c, so two
     # points per regime stand for the full scans of both configs.
     cfg = ToyConfig(**overrides, scan=(1.6, 2.4, 2))
@@ -390,12 +388,11 @@ def test_condition_estimate_skipped_while_the_bound_passes(toy_guards, overrides
         assert scan_objective(cfg, regime).status == ["ok", "ok"]
         estimate_extended_source(cfg, 1.8, regime)
     assert toy_guards["estimates"] == 0
-    # The conventional scan has no extension, and the floored conventional
-    # extsrc fit takes plain conjugate gradients: neither factors. The
-    # floored extended fits (2 scan points and extsrc) factor a trailing
-    # block at both sizes, the general ones only at nt = 512, where their
-    # step cap of 36 exceeds (512 / 64)^1.5.
-    assert toy_guards["factored"] == [True] * factored
+    # The conventional scan has no extension; the floored conventional extsrc
+    # fit (kappa = 1) and the general fits (kappa = 4.3) take plain conjugate
+    # gradients. Only the floored extended fits (2 scan points and extsrc)
+    # factor a trailing block.
+    assert toy_guards["factored"] == [True] * 3
 
 
 @pytest.mark.parametrize(
@@ -509,44 +506,56 @@ def normal_bound(cfg, sigma_p, sigma_m):
     return (np.sum(acquisition(cfg).distances() ** -2.0) + lam) / lam
 
 
-# sigma_m = 2 gives kappa = 1.8 and a step cap of 20, the README weights at
-# nt = 1024 kappa = 4.3 and a cap of 36: both at most (nt / 64)^1.5.
+# The general regime at the default offsets (sigma_m = sigma_p = 1) has kappa
+# = 4.3 at every nt, far below the bound where the block preconditioner starts.
 CG_CONFIGS = {
-    "nt512": (ToyConfig(nt=512, sigma_m=2.0, scan=(1.6, 2.4, 2)), 20),
-    "nt1024": (ToyConfig(nt=1024, f0=15.0, scan=(1.6, 2.4, 2)), 36),
+    "nt64": ToyConfig(nt=64, dt=0.016, scan=(1.6, 2.4, 2)),
+    "nt512": ToyConfig(nt=512, scan=(1.6, 2.4, 2)),
+    "nt1024": ToyConfig(nt=1024, f0=15.0, scan=(1.6, 2.4, 2)),
+    "nt2048": ToyConfig(nt=2048, scan=(1.6, 2.4, 2)),
 }
+
+
+def refuse(*args):
+    raise AssertionError("the normal matrix was formed or factored")
 
 
 @pytest.mark.parametrize("name", CG_CONFIGS)
 def test_well_conditioned_general_fit_takes_conjugate_gradients(monkeypatch, name):
-    cfg, steps = CG_CONFIGS[name]
-    assert toy._cg_steps(normal_bound(cfg, cfg.sigma_p, cfg.sigma_m)) == steps
-    assert steps <= (cfg.nt / 64) ** 1.5
-
-    def refuse(*args):
-        raise AssertionError("the normal matrix was formed or factored")
-
+    # Which path a fit takes depends on kappa alone, not on nt.
+    cfg = CG_CONFIGS[name]
+    assert normal_bound(cfg, cfg.sigma_p, cfg.sigma_m) < toy._PRECONDITION_BOUND
     monkeypatch.setattr(toy, "_normal_matrix", refuse)
     monkeypatch.setattr(toy, "_spd_factor", refuse)
     assert scan_objective(cfg, "general").status == ["ok", "ok"]
     estimate_extended_source(cfg, 1.8, "general")
 
 
-def test_step_cap_follows_the_chebyshev_bound():
-    # the least k >= 2 with 2 rho^k <= u, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
-    for bound in (1.8, 4.3, 47.0):
-        k = toy._cg_steps(bound)
-        rho = (np.sqrt(bound) - 1.0) / (np.sqrt(bound) + 1.0)
-        assert 2.0 * rho**k <= 2.0**-53 < 2.0 * rho ** (k - 1)
-    for bound in (1.0, 1.0 + 1e-15, 1.0 + 1e-11):
-        assert toy._cg_steps(bound) == 2.0
-    assert toy._cg_steps(np.inf) == np.inf
+@pytest.mark.parametrize("sigma_m, blocks", [(0.058, 0), (0.057, 3)], ids=["below", "above"])
+def test_block_preconditioner_starts_at_the_bound(monkeypatch, sigma_m, blocks):
+    # kappa = 969 and 1003 on either side of the bound; both match the oracle.
+    cfg = ToyConfig(nt=128, sigma_m=sigma_m, scan=(1.6, 2.4, 2))
+    kappa = normal_bound(cfg, cfg.sigma_p, cfg.sigma_m)
+    assert (kappa >= toy._PRECONDITION_BOUND) == (blocks > 0)
+    assert abs(kappa - toy._PRECONDITION_BOUND) <= 0.04 * toy._PRECONDITION_BOUND
+    built = []
+    real = toy._normal_matrix
+    monkeypatch.setattr(toy, "_normal_matrix", lambda *args: built.append(args) or real(*args))
+    scan = scan_objective(cfg, "general")
+    assert scan.status == ["ok", "ok"]
+    estimate_extended_source(cfg, 1.8, "general")
+    assert len(built) == blocks
+    acq = acquisition(cfg)
+    for c, phi in zip(scan.c_values, scan.phi_raw):
+        expected = qr_oracle(forward_columns(c, acq), residual(cfg, c), cfg.sigma_p, cfg.sigma_m)
+        assert abs(phi - expected) <= 1e-13 * expected, c
 
 
 def test_floored_conventional_fits_converge_at_a_bound_of_one():
-    # floor = 1e-10 makes lam ~ 1e18 and the computed bound exactly 1; a
-    # single step, which is all exact arithmetic needs, left 13 to 29 of 41
-    # velocities short of the tolerance by its own rounding
+    # floor = 1e-10 makes lam ~ 1e18 and the computed bound exactly 1. One
+    # step, which is all exact arithmetic needs, meets the stop of 50 u; its
+    # own rounding, about u ||F^T r||, left 13 to 29 of 41 velocities short of
+    # a stop at u.
     cfg = ToyConfig(nt=128, floor=1e-10)
     sigma_p, sigma_m = extsrc_weights(cfg, "conventional")
     assert normal_bound(cfg, sigma_p, sigma_m) == 1.0
@@ -561,19 +570,19 @@ def test_floored_conventional_fits_converge_at_a_bound_of_one():
             assert abs(attained - expected) <= 1e-13 * expected, c
 
 
-@pytest.mark.parametrize("name", CG_CONFIGS)
+@pytest.mark.parametrize("name", ["nt512", "nt1024"])
 def test_conjugate_gradients_match_cholesky_and_qr_oracle(monkeypatch, name):
     # Measured with sigma_m = sigma_p = 1 over 21 velocities in [1.5, 2.5],
     # CG forced at nt = 512: phi within 3.3e-16 of the Cholesky path, f 6.5e-16.
     # The block preconditioner now stands in for that Cholesky path.
-    cfg, _ = CG_CONFIGS[name]
+    cfg = CG_CONFIGS[name]
     acq = acquisition(cfg)
     sigma_p, sigma_m = cfg.sigma_p, cfg.sigma_m
     for c in (1.6, 2.2):
         r = residual(cfg, c)
         phi, f = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
         with monkeypatch.context() as m:
-            m.setattr(toy, "_cg_steps", lambda bound: np.inf)  # forces the block
+            m.setattr(toy, "_PRECONDITION_BOUND", 0.0)  # forces the block
             phi_chol, f_chol = toy._fit_extension(c, acq, r, sigma_p, sigma_m)
         assert abs(phi - phi_chol) <= 4e-15 * phi_chol, c
         assert np.linalg.norm(f - f_chol) <= 1e-14 * np.linalg.norm(f_chol), c
@@ -582,8 +591,11 @@ def test_conjugate_gradients_match_cholesky_and_qr_oracle(monkeypatch, name):
 
 
 def test_conjugate_gradients_short_of_the_tolerance_raise(monkeypatch):
-    cfg, _ = CG_CONFIGS["nt1024"]
-    monkeypatch.setattr(toy, "_cg_steps", lambda bound: 1.0)
+    # From c = 1.9 on, the README config's F^T r lies where F^T F acts as a
+    # scalar, and one step meets the stop; at c = 1.6 and 1.8 a fit takes 12
+    # and 8.
+    cfg = replace(CG_CONFIGS["nt1024"], scan=(1.6, 1.8, 2))
+    monkeypatch.setattr(toy, "_PCG_STEPS", 1)
     scan = scan_objective(cfg, "general")
     assert scan.status == ["IllConditionedError"] * 2
     assert np.all(np.isnan(scan.phi_raw))
@@ -610,13 +622,18 @@ def test_block_fit_past_its_step_cap_raises(monkeypatch, name):
         estimate_extended_source(cfg, 1.8, "extended")
 
 
-def test_block_fit_short_of_its_true_residual_bound_raises(monkeypatch):
+@pytest.mark.parametrize(
+    "cfg, regime",
+    [(CG_CONFIGS["nt1024"], "general"), (BLOCK_CONFIGS["nt512"], "extended")],
+    ids=["plain", "block"],
+)
+def test_fit_short_of_its_true_residual_bound_raises(monkeypatch, cfg, regime):
     # The recursively updated residual met its stop; the true normal residual
-    # F^T (r - F f_hat) - lam f_hat is checked on its own.
-    cfg = BLOCK_CONFIGS["nt512"]
+    # F^T (r - F f_hat) - lam f_hat is checked on its own, with or without the
+    # preconditioner.
     monkeypatch.setattr(toy, "_NORMAL_RESIDUAL_TOL", 0.0)
     with pytest.raises(IllConditionedError, match="true normal residual"):
-        estimate_extended_source(cfg, 1.8, "extended")
+        estimate_extended_source(cfg, 1.8, regime)
 
 
 @pytest.mark.parametrize("regime", ["extended", "general"])

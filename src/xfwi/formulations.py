@@ -55,11 +55,12 @@ class Problem:
     """One inversion instance: operator builder, geometry, data, weights.
 
     ``A_builder(m)`` returns the square operator ``A(m)`` and must be a pure
-    function of ``m``. The operator has ``range_dim``, its order;
-    ``solve(b, adjoint=False)``, which solves with ``A`` (``A^H`` with
-    ``adjoint``) against one right-hand side or one per column; and either
-    the three diagonals of a :class:`~xfwi.linops.TridiagonalOperator` or
-    ``to_dense()``, from which the joint system is assembled (see
+    function of ``m``. The reduced side needs only its ``range_dim``, its
+    order, and ``solve(b, adjoint=False)``, which solves with ``A`` (``A^H``
+    with ``adjoint``) against one right-hand side or one per column. The
+    joint side assembles its system from the three diagonals of a
+    :class:`~xfwi.linops.TridiagonalOperator`, the operator
+    :func:`~xfwi.wavemodel.assemble_A` builds, and refuses any other (see
     :func:`_operator_slots`). The problem keeps its last reduced pass, keyed
     on the medium, and reuses it for the same medium (see
     :func:`_reduced_at`), and the array it adds to ``K`` and the eigenvalue
@@ -235,30 +236,35 @@ def _gram_floor(prob):
 
 
 def _operator_slots(A, adjoint=False):
-    """The columns of a square ``A`` (of ``A^H`` with ``adjoint``) as slot arrays.
+    """The columns of a tridiagonal ``A`` (of ``A^H`` with ``adjoint``) as slot arrays.
 
-    Returns ``(rows, values)``: line ``j`` of ``values`` holds the candidate
-    entries of column ``j`` at the row indices in line ``j`` of ``rows``
-    (broadcast), which increase along it. A tridiagonal ``A`` has three
-    slots per line, at rows ``j - 1, j, j + 1``; the two that fall off the
-    grid hold exact zeros.
+    Returns ``(rows, values)``: line ``j`` of ``values`` holds the three
+    candidate entries of column ``j``, at the rows ``j - 1, j, j + 1`` in
+    line ``j`` of ``rows``; the two that fall off the grid hold exact zeros.
+    An operator that is not a :class:`~xfwi.linops.TridiagonalOperator`
+    raises :class:`RejectedInputError`, so the joint system is never
+    assembled or factored for it.
     """
+    if not isinstance(A, TridiagonalOperator):
+        raise RejectedInputError(
+            f"the joint system takes a TridiagonalOperator, got {type(A).__name__}"
+        )
     n = A.range_dim
-    if isinstance(A, TridiagonalOperator):
-        rows = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
-        # column j of A^H is conj(A[j, :]): the diagonals swap, then conjugate
-        above, below = (A.lower, A.upper) if adjoint else (A.upper, A.lower)
-        vals = np.zeros((n, 3), dtype=complex)
-        vals[1:, 0] = above
-        vals[:, 1] = A.diag
-        vals[:-1, 2] = below
-        return rows, np.conjugate(vals, out=vals) if adjoint else vals
-    a = A.to_dense()
-    return np.arange(n, dtype=np.int32), a.conj() if adjoint else a.T
+    rows = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+    # column j of A^H is conj(A[j, :]): the diagonals swap, then conjugate
+    above, below = (A.lower, A.upper) if adjoint else (A.upper, A.lower)
+    vals = np.zeros((n, 3), dtype=complex)
+    vals[1:, 0] = above
+    vals[:, 1] = A.diag
+    vals[:-1, 2] = below
+    return rows, np.conjugate(vals, out=vals) if adjoint else vals
 
 
 def _covariance_slots(cov):
-    """The columns of a covariance as slot arrays, as in :func:`_operator_slots`."""
+    """The columns of a covariance as slot arrays, as in :func:`_operator_slots`.
+
+    A dense one's row indices are one line, broadcast over its columns.
+    """
     idx = np.arange(cov.dim, dtype=np.int32)
     if cov.kind == cov.DIAGONAL:
         return idx[:, None], cov._diag[:, None]
@@ -329,10 +335,11 @@ def _joint_factor(prob, A):
 
     Its solution holds the joint optimum ``u``, ``lam = sigma_p^{-1} (q - A u)``
     and ``mu = sigma_m^{-1} (d - P u)``. :func:`_joint_matrix` assembles it
-    directly in CSC from the operators' own data: the diagonals of a
-    tridiagonal ``A`` (a dense ``A`` otherwise), the receiver indices, each
-    covariance's diagonal or matrix. The solve takes one right-hand side or
-    one per column, and adds one step of iterative refinement from the LU.
+    directly in CSC from the operators' own data: the three diagonals of
+    the tridiagonal ``A`` (any other operator is refused, see
+    :func:`_operator_slots`), the receiver indices, each covariance's
+    diagonal or matrix. The solve takes one right-hand side or one per
+    column, and adds one step of iterative refinement from the LU.
     """
     from scipy.sparse.linalg import splu
 

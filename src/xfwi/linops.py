@@ -87,7 +87,7 @@ class TridiagonalOperator:
         nb = n // blocks
         if blocks > 1 and (lower[nb - 1::nb].any() or upper[nb - 1::nb].any()):
             raise RejectedInputError("couplings between blocks must be exact zeros")
-        self.range_dim = self.domain_dim = n
+        self.range_dim = n
         self.lower = lower
         self.diag = diag
         self.upper = upper
@@ -100,13 +100,6 @@ class TridiagonalOperator:
         y[:-1] += self.upper * x[1:]
         y[1:] += self.lower * x[:-1]
         return y
-
-    def rmatvec(self, y):
-        y = np.asarray(y)
-        x = self.diag.conj() * y
-        x[:-1] += self.lower.conj() * y[1:]
-        x[1:] += self.upper.conj() * y[:-1]
-        return x
 
     def to_dense(self):
         return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
@@ -132,26 +125,24 @@ class TridiagonalOperator:
         x, _ = zgttrs(*factor, b, trans="C" if adjoint else "N")
         return x
 
-    def condition(self, block=None):
-        """1-norm condition number, estimated in O(n) from the cached factor.
+    def condition(self, block):
+        """1-norm condition number of block ``block`` of the stack, estimated in O(n).
 
-        The norm of ``A`` is exact (largest column sum of the three
-        diagonals); the norm of ``A^{-1}`` is LAPACK's Hager-Higham estimate
-        (``gtcon``), which can only fall short of the true value. A zero
-        pivot gives ``inf``. With ``block = i`` it is the condition number of
-        the stack's block ``i`` alone, from that block's slice of the factor
-        (its row interchanges shifted to the block's own rows), which is the
-        block's own factor.
+        It is read from that block's slice of the cached factor (its row
+        interchanges shifted to the block's own rows), which is the block's
+        own factor; block 0 of a one-block operator is the whole factor. The
+        norm of the block is exact (largest column sum of its three
+        diagonals); the norm of its inverse is LAPACK's Hager-Higham
+        estimate (``gtcon``), which can only fall short of the true value. A
+        zero pivot gives ``inf``.
         """
         dl, d, du, du2, ipiv, _ = self._lu()
-        lower, diag, upper = self.lower, self.diag, self.upper
-        if block is not None:
-            nb = self.range_dim // self.blocks
-            s = block * nb
-            lower, diag, upper = lower[s:s + nb - 1], diag[s:s + nb], upper[s:s + nb - 1]
-            dl, d, du = dl[s:s + nb - 1], d[s:s + nb], du[s:s + nb - 1]
-            du2, ipiv = du2[s:s + nb - 2], ipiv[s:s + nb] - s
-        col = np.abs(diag)
+        nb = self.range_dim // self.blocks
+        s = block * nb
+        lower, upper = self.lower[s:s + nb - 1], self.upper[s:s + nb - 1]
+        dl, d, du = dl[s:s + nb - 1], d[s:s + nb], du[s:s + nb - 1]
+        du2, ipiv = du2[s:s + nb - 2], ipiv[s:s + nb] - s
+        col = np.abs(self.diag[s:s + nb])
         col[1:] += np.abs(upper)
         col[:-1] += np.abs(lower)
         rcond, _ = zgtcon(dl, d, du, du2, ipiv, float(col.max()))
@@ -183,7 +174,6 @@ class SamplingOperator:
             )
         if len(np.unique(idx)) != len(idx):
             raise RejectedInputError("receiver indices must be distinct")
-        self.range_dim, self.domain_dim = len(idx), state_dim
         self.receiver_indices = idx
         self.state_dim = state_dim
 
@@ -194,12 +184,6 @@ class SamplingOperator:
     def matvec(self, x):
         x = np.asarray(x)
         return x[self.receiver_indices]
-
-    def rmatvec(self, y):
-        y = np.asarray(y)
-        out = np.zeros(self.state_dim, dtype=np.result_type(y.dtype, float))
-        out[self.receiver_indices] = y
-        return out
 
     def to_dense(self):
         P = np.zeros((self.n_receivers, self.state_dim))

@@ -19,6 +19,7 @@ from xfwi import (
     helmholtz_problem,
 )
 from xfwi import formulations, linops
+from xfwi.linops import TridiagonalOperator
 from xfwi.cli import random_covariance
 from xfwi.wavemodel import _check_velocity, medium_values
 
@@ -73,8 +74,19 @@ def scaled_problem(prob, alpha):
     )
 
 
+def random_tridiagonal(rng, n):
+    """A random complex non-symmetric tridiagonal operator of order ``n``.
+
+    Its entries are standard complex normals, with 3 added to the diagonal.
+    """
+    lower, diag, upper = (
+        rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (n - 1, n, n - 1)
+    )
+    return TridiagonalOperator(lower, diag + 3, upper)
+
+
 def complex_operator_problems(count=3, n=16, seed=99):
-    """Problems with random complex non-symmetric dense ``A`` and dense weights.
+    """Problems with random complex non-symmetric tridiagonal ``A`` and dense weights.
 
     Returns ``(problem, medium)`` pairs: the general case of the push-through
     identity that acceptance criterion 2 checks, three receivers, zero data.
@@ -82,9 +94,9 @@ def complex_operator_problems(count=3, n=16, seed=99):
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+        A = random_tridiagonal(rng, n)
         prob = Problem(
-            A_builder=lambda m, M=M: DenseOperator(M),
+            A_builder=lambda m, A=A: A,
             dA_contract=lambda v, w: np.zeros(n),
             P=SamplingOperator([1, 7, 13], n),
             q=np.zeros(n),
@@ -101,7 +113,11 @@ def complex_operator_problems(count=3, n=16, seed=99):
 
 
 class DenseOperator:
-    """Operator backed by an explicit 2-D array; meets ``Problem``'s contract by ``to_dense()``."""
+    """Operator backed by an explicit 2-D array, with its adjoint for :func:`dot_test`.
+
+    It meets the reduced side's contract of ``Problem`` (``range_dim`` and
+    ``solve``); the joint side refuses it.
+    """
 
     def __init__(self, matrix):
         matrix = np.atleast_2d(np.asarray(matrix))
@@ -214,7 +230,7 @@ def phi_equation_error(prob, m):
         raise DimensionMismatchError(
             "equation-error form needs a square, invertible sampling operator"
         )
-    r = prob.A_builder(m).matvec(prob.P.rmatvec(prob.d)) - prob.q
+    r = prob.A_builder(m).matvec(prob.P.dense_adjoint @ prob.d) - prob.q
     w = cov_solve(prob.sigma_p, r)
     return ObjectiveReport(value=np.vdot(r, w).real, residual=r, weighted_residual=w)
 
@@ -422,6 +438,12 @@ def operator_pair(range_dim, domain_dim, matvec, rmatvec):
     return SimpleNamespace(
         range_dim=range_dim, domain_dim=domain_dim, matvec=matvec, rmatvec=rmatvec
     )
+
+
+def solve_pair(A):
+    """The solves with ``A`` and with ``A^H`` of a square operator, for dot tests."""
+    n = A.range_dim
+    return operator_pair(n, n, A.solve, lambda y: A.solve(y, adjoint=True))
 
 
 def propagator(c, acq):

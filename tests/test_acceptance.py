@@ -30,7 +30,9 @@ from conftest import (
     minimize_phi_extended_source,
     phi_conventional,
     phi_equation_error,
+    operator_pair,
     propagator,
+    solve_pair,
 )
 from xfwi import (
     CovarianceSpec,
@@ -248,14 +250,17 @@ def test_criterion_8_appendix_forms():
 
 
 def test_criterion_9_infrastructure(tmp_path):
-    # adjoint dot tests for every shipped operator
+    # adjoint dot tests of every adjoint the package applies: the adjoint solve
+    # of A, the dense adjoint of P, and F^T
     worst = 0.0
     m = np.full(20, 0.3)
     for boundary in ("dirichlet", "sommerfeld"):
         model = HelmholtzModel1D(n=20, h=0.05, omega=30.0, boundary=boundary)
-        worst = max(worst, dot_test(assemble_A(model, m), trials=10, seed=1))
+        worst = max(worst, dot_test(solve_pair(assemble_A(model, m)), trials=10, seed=1))
         worst = max(worst, dot_test(dA_dm(model, 7), trials=5, seed=2))
-    worst = max(worst, dot_test(SamplingOperator([3, 9, 15], 20), trials=5, seed=3))
+    P = SamplingOperator([3, 9, 15], 20)
+    P_pair = operator_pair(3, 20, P.matvec, lambda y: P.dense_adjoint @ y)
+    worst = max(worst, dot_test(P_pair, trials=5, seed=3))
     cfg = ToyConfig(nt=160, dt=0.008, f0=8.0, t0=0.2)
     acq = acquisition(cfg)
     worst = max(worst, dot_test(propagator(2.1, acq), trials=10, seed=4))

@@ -23,6 +23,7 @@ from conftest import (
     phi_conventional,
     phi_equation_error,
     phi_extended_source,
+    random_tridiagonal,
     scaled_problem,
 )
 from xfwi import (
@@ -52,7 +53,7 @@ from xfwi.linops import TridiagonalOperator
 
 def identity_problem(n, receivers, q, d, sigma_m, sigma_p):
     return Problem(
-        A_builder=lambda m: DenseOperator(np.eye(n)),
+        A_builder=lambda m: TridiagonalOperator(np.zeros(n - 1), np.ones(n), np.zeros(n - 1)),
         dA_contract=lambda v, w: np.zeros(n),
         P=SamplingOperator(receivers, n),
         q=q,
@@ -123,31 +124,37 @@ def max_split_err(rep):
     return max(rep.state_split_err, rep.data_split_err, rep.process_split_err)
 
 
-def two_by_two_problem(eps):
-    """Full sampling of ``A = [[1, 1], [1, 1 + eps]]`` with ``Sp = I``, ``Sm = 1e-300 I``.
+def nearly_singular_problem(eps):
+    """Full sampling of ``A = [[1, 1], [1, 1 + eps]]`` and a decoupled ``A_33 = 1e-3``.
 
-    ``K + Sm`` is ``(A^H A)^{-1}`` to rounding, of condition ``~16 / eps^2``,
-    and the joint value is ``||q - A d||^2 = (1 + eps)^2``.
+    ``Sp = I`` and ``Sm = 1e-300 I``. ``K + Sm`` is ``(A^H A)^{-1}`` to
+    rounding, of condition ``~16 / eps^2``. The third unknown pads ``A`` to
+    the smallest order ``gttrf`` takes; its ``K_33 = 1e6`` lies between the
+    leading block's computed eigenvalues (128 and 4e18 at eps = 1e-9), so it
+    moves neither end. The joint value is ``||q - A d||^2 = (1 + eps)^2``.
     """
-    A = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+    def stack(m):  # a stack of b media gets A once per medium down the diagonal
+        b = len(np.atleast_2d(m))
+        off = np.tile([1.0, 0.0, 0.0], b)[:-1]
+        return TridiagonalOperator(off, np.tile([1.0, 1.0 + eps, 1e-3], b), off, blocks=b)
+
     return Problem(
-        # a stack of b media gets A once per medium down the diagonal
-        A_builder=lambda m: DenseOperator(np.kron(np.eye(len(np.atleast_2d(m))), A)),
-        dA_contract=lambda v, w: np.zeros(2),
-        P=SamplingOperator([0, 1], 2),
-        q=np.array([1.0, 0.0]),
-        d=np.array([0.0, 1.0]),
-        sigma_m=CovarianceSpec.scaled_identity(1e-300, 2),
-        sigma_p=CovarianceSpec.scaled_identity(1.0, 2),
+        A_builder=stack,
+        dA_contract=lambda v, w: np.zeros(3),
+        P=SamplingOperator([0, 1, 2], 3),
+        q=np.array([1.0, 0.0, 0.0]),
+        d=np.array([0.0, 1.0, 0.0]),
+        sigma_m=CovarianceSpec.scaled_identity(1e-300, 3),
+        sigma_p=CovarianceSpec.scaled_identity(1.0, 3),
     )
 
 
 def random_operator_problem(rng, q, d):
-    """Problem with a random complex non-Hermitian ``A`` and dense weights."""
+    """Problem with a random complex non-symmetric tridiagonal ``A`` and dense weights."""
     n = len(q)
-    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    A = random_tridiagonal(rng, n)
     return Problem(
-        A_builder=lambda m: DenseOperator(M),
+        A_builder=lambda m: A,
         dA_contract=lambda v, w: np.zeros(n),
         P=SamplingOperator([2, 7, 11], n),
         q=q,
@@ -216,7 +223,7 @@ class TestJointMatrix:
         lower[5] = 0.0
         assert_joint_matrix_matches_bmat(prob, TridiagonalOperator(lower, diag, upper))
 
-    def test_dense_operator(self):
+    def test_random_tridiagonal_operator(self):
         rng = np.random.default_rng(62)
         prob = random_operator_problem(rng, np.zeros(15), np.zeros(3))
         assert_joint_matrix_matches_bmat(prob, prob.A_builder(np.ones(15)))
@@ -230,12 +237,14 @@ class TestJointMatrix:
             prob, sigma_p=banded_covariance(20, rng), sigma_m=banded_covariance(3, rng)
         )
         assert_joint_matrix_matches_bmat(prob, prob.A_builder(m))
-        A = prob.A_builder(m).to_dense().copy()
-        A[:, 4] = 0.0
-        assert_joint_matrix_matches_bmat(prob, DenseOperator(A))
+        A = prob.A_builder(m)
+        lower, diag, upper = A.lower.copy(), A.diag.copy(), A.upper.copy()
+        upper[3] = diag[4] = lower[4] = 0.0  # column 4
+        A = TridiagonalOperator(lower, diag, upper)
+        assert_joint_matrix_matches_bmat(prob, A)
         n, k = 20, 3
-        assert formulations._joint_matrix(prob, DenseOperator(A)).nnz == (
-            (3 * n - 2) + (3 * k - 2) + 2 * (np.count_nonzero(A) + k)
+        assert formulations._joint_matrix(prob, A).nnz == (
+            (3 * n - 2) + (3 * k - 2) + 2 * (np.count_nonzero(A.to_dense()) + k)
         )
 
 
@@ -500,7 +509,7 @@ class TestGradient:
         A = prob.A_builder(m).to_dense()
         u0 = np.linalg.solve(A, prob.q)
         r = prob.P.matvec(u0) - prob.d
-        v0 = np.linalg.solve(A.conj().T, prob.P.rmatvec(cov_solve(prob.sigma_m, r)))
+        v0 = np.linalg.solve(A.conj().T, prob.P.dense_adjoint @ cov_solve(prob.sigma_m, r))
         g_conv = np.array(
             [
                 -2.0 * np.vdot(v0, dA_dm(model, k).matvec(u0)).real
@@ -672,10 +681,10 @@ class TestAppendixForms:
 
 class TestVerifiers:
     def test_identity_case_both_sides_half(self):
-        n = 2
+        n = 3
         prob = identity_problem(
             n,
-            [0, 1],
+            [0, 1, 2],
             q=np.zeros(n),
             d=np.zeros(n),
             sigma_m=CovarianceSpec.scaled_identity(1.0, n),
@@ -791,7 +800,7 @@ class TestVerifiers:
         for _, prob, m in make_equiv_instances(settings, 11):
             assert_joint_side_matches_dense_oracle(prob, m)
 
-    def test_dense_operator_joint_side(self):
+    def test_random_operator_joint_side(self):
         rng = np.random.default_rng(36)
         q = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -799,13 +808,32 @@ class TestVerifiers:
             random_operator_problem(rng, q, d), np.ones(15)
         )
 
+    @pytest.mark.parametrize("check", [verify_equivalence, phi_joint], ids=lambda f: f.__name__)
+    def test_joint_side_refuses_other_operators(self, monkeypatch, check):
+        # the reduced side needs only range_dim and solve; the joint side
+        # takes the tridiagonal operator alone, refused before any LU
+        import scipy.sparse.linalg
+
+        rng = np.random.default_rng(39)
+        q = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        prob = random_operator_problem(rng, q, d)
+        dense = dataclasses.replace(
+            prob, A_builder=lambda m: DenseOperator(prob.A_builder(m).to_dense())
+        )
+        m = np.ones(15)
+        assert phi_reduced(dense, m).value == pytest.approx(phi_reduced(prob, m).value, rel=1e-12)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", None)
+        with pytest.raises(RejectedInputError, match="takes a TridiagonalOperator"):
+            check(dense, m)
+
     @pytest.mark.parametrize(
         "check", [joint_state, phi_joint, verify_equivalence], ids=lambda f: f.__name__
     )
     def test_singular_joint_system(self, check):
         # A = 0 with one receiver: the joint normal matrix P^H Sm^{-1} P has rank 1
         prob = Problem(
-            A_builder=lambda m: DenseOperator(np.zeros((3, 3))),
+            A_builder=lambda m: TridiagonalOperator(np.zeros(2), np.zeros(3), np.zeros(2)),
             dA_contract=lambda v, w: np.zeros(3),
             P=SamplingOperator([1], 3),
             q=np.ones(3),
@@ -822,14 +850,12 @@ class TestVerifiers:
         [(phi_reduced, verify_equivalence), (verify_equivalence, phi_reduced)],
         ids=["reduced-first", "equivalence-first"],
     )
-    def test_singular_dense_operator(self, receivers, order):
+    def test_singular_operator(self, receivers, order):
         # A = 0 has an exactly zero LU pivot. With one receiver the joint
         # system is singular too; with all three it is regular, so
         # verify_equivalence reaches the reduced pass. One operator serves
-        # every call, so a factor cached by the first would reach the second;
-        # under filterwarnings = ["error"] a LinAlgWarning from the LU would
-        # surface here instead of IllConditionedError.
-        A = DenseOperator(np.zeros((3, 3)))
+        # every call, so a factor cached by the first would reach the second.
+        A = TridiagonalOperator(np.zeros(2), np.zeros(3), np.zeros(2))
         prob = Problem(
             A_builder=lambda m: A,
             dA_contract=lambda v, w: np.zeros(3),
@@ -848,7 +874,7 @@ class TestVerifiers:
         # K + Sm is numerically indefinite at eps = 1e-8: the gradient fails
         # the way the objective does, through the same reduced pass
         with pytest.raises(IllConditionedError):
-            check(two_by_two_problem(1e-8), np.ones(2))
+            check(nearly_singular_problem(1e-8), np.ones(3))
 
     @pytest.mark.parametrize(
         "check",
@@ -859,11 +885,11 @@ class TestVerifiers:
         # cond_1(A) = 4e9 passes, but K + Sm has about cond(A)^2 (pocon: 1.6e16);
         # unchecked, the reduced value read 0.5005 against the exact 1 + 2e-9.
         # sigma_m = 1e-300 I gives no free bound, so pocon reports it.
-        prob = two_by_two_problem(1e-9)
+        prob = nearly_singular_problem(1e-9)
         with pytest.raises(IllConditionedError) as excinfo:
-            check(prob, np.ones(2))
+            check(prob, np.ones(3))
         assert excinfo.value.condition == pytest.approx(1.5625e16, rel=1e-6)
-        assert abs(phi_joint(prob, np.ones(2)).value - (1.0 + 1e-9) ** 2) <= 1e-8
+        assert abs(phi_joint(prob, np.ones(3)).value - (1.0 + 1e-9) ** 2) <= 1e-8
 
     def test_equivalence_report(self):
         for seed in range(5):
@@ -1336,8 +1362,8 @@ class TestReducedPassCache:
         assert prob._last_pass is not None  # the pass at m is kept
 
     def test_ill_conditioned_weight_raises_on_every_call(self):
-        prob = two_by_two_problem(1e-9)
+        prob = nearly_singular_problem(1e-9)
         for check in (phi_reduced, phi_reduced, grad_phi, verify_equivalence, grad_phi):
             with pytest.raises(IllConditionedError):
-                check(prob, np.ones(2))
+                check(prob, np.ones(3))
         assert prob._last_pass is None

@@ -8,12 +8,11 @@ on the copy:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest -v -p no:cacheprovider tests
 
-(verbose, so that each failure is named as it happens, also when a failing
-hypothesis test ends the run in an internal error). A mutant is killed when
-a test other than criterion 6 fails; criterion 6 fails by design (see the
-README, "Known limitation"). An unmutated copy runs first and must fail
-nothing else. The script prints, per mutant, killed or
-survived and the tests that killed it, then the counts.
+(verbose, so that each test's outcome is a line of its own, which the script
+reads). A mutant is killed when a test other than criterion 6 fails;
+criterion 6 fails by design (see the README, "Known limitation"). An
+unmutated copy runs first and must fail nothing else. The script prints, per
+mutant, killed or survived and the tests that killed it, then the counts.
 
 Usage, from the repository root (every mutant, two at a time; about 20 s a
 mutant on one core):
@@ -73,6 +72,20 @@ MUTANTS = (
     Mutant("fd-step-1e-4", "formulations.py",
            "_FD_STEP = 1e-3  # relative step of fd_gradient, scaled per component",
            "_FD_STEP = 1e-4"),
+    Mutant("joint-adjoint-diagonals-unswapped", "formulations.py",
+           "above, below = (A.lower, A.upper) if adjoint else (A.upper, A.lower)",
+           "above, below = (A.upper, A.lower)"),
+    Mutant("joint-adjoint-unconjugated", "formulations.py",
+           "return rows, np.conjugate(vals, out=vals) if adjoint else vals",
+           "return rows, vals"),
+    Mutant("joint-takes-any-operator", "formulations.py",
+           "if not isinstance(A, TridiagonalOperator):", "if False:"),
+    Mutant("block-pivots-unshifted", "linops.py",
+           "du2, ipiv = du2[s:s + nb - 2], ipiv[s:s + nb] - s",
+           "du2, ipiv = du2[s:s + nb - 2], ipiv[s:s + nb]"),
+    Mutant("no-gtcon-tier", "wavemodel.py",
+           'check_condition(min(bounds[i], A.condition(i)), "assembled operator")',
+           'check_condition(bounds[i], "assembled operator")'),
     Mutant("no-joint-refinement", "formulations.py",
            "x += lu.solve(b - M @ x)  # without it phi loses 4 digits at n = 1e5", "pass"),
     Mutant("report-imaginary-part-1e10", "formulations.py",
